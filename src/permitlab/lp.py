@@ -151,6 +151,7 @@ class LPSolution:
     mechanism: DirectMechanism
     lam: dict  # (i, from_ti_idx, to) -> Q, to = ti'_idx or None for the sink
     iterations: int
+    path: str  # how the simplex proved the optimum: "certified" or "exact"
 
 
 def build_profit_lp(instance: Instance, guard: int = 200_000) -> ProfitLP:
@@ -301,7 +302,7 @@ def solve_lp(model: ProfitLP) -> LPSolution:
         if target == ti_idx:
             continue  # vacuous self-report row
         lam[(i, ti_idx, target)] = y
-    sol = LPSolution(res.objective, mech, lam, res.iterations)
+    sol = LPSolution(res.objective, mech, lam, res.iterations, res.path)
     if mech.profit() != res.objective:
         raise AssertionError("re-evaluated mechanism profit differs from LP objective")
     _check_flow_conservation(inst, lam)

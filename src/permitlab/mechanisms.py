@@ -72,7 +72,6 @@ class EvalResult:
     permit_buy_prob: dict = field(default_factory=dict)  # (i, j) -> Q
     bundle_pay_prob: dict = field(default_factory=dict)  # i -> Q
     serve_prob: dict = field(default_factory=dict)  # (i, j, c_idx) -> conditional Q
-    trace: list = None
     lower_bound_only: bool = False
 
 
@@ -239,7 +238,6 @@ def evaluate(
     bundle_pay = {}
     serve = {}
     hiding_probs = {}
-    trace = [] if instance.n_profiles() <= 81 else None
 
     for i in spec.buyer_order(n):
         avail_states = []
@@ -280,10 +278,6 @@ def evaluate(
         for ti_idx, t_i in enumerate(types):
             f = fprobs[ti_idx]
             permits, stage1_pay = best_response_permits(instance, i, t_i, spec, avail)
-            if trace is not None:
-                trace.append(
-                    {"buyer": i, "type": t_i, "permits": permits, "paid": stage1_pay}
-                )
             if spec.kind == "RSPP" and permits:
                 j = permits.bit_length() - 1
                 permit_buy[(i, j)] = permit_buy.get((i, j), ZERO) + f
@@ -364,7 +358,6 @@ def evaluate(
         permit_buy_prob=permit_buy,
         bundle_pay_prob=bundle_pay,
         serve_prob=serve,
-        trace=trace,
     )
 
 

@@ -1,4 +1,6 @@
-"""Exact rational arithmetic. All core computations use rationals, never floats.
+"""Exact rational arithmetic. Every exact result of the core is a rational.
+Floats only propose LP solutions, which simplex.solve then proves optimal
+exactly, and estimate Monte-Carlo profits.
 
 gmpy2.mpq is used when available (it is 10-20x faster than fractions.Fraction
 and hash/comparison compatible with it); otherwise we fall back to Fraction.

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -86,6 +85,7 @@ class InstanceReport:
     values: dict = field(default_factory=dict)  # column -> Q
     passed: list = field(default_factory=list)
     failed: list = field(default_factory=list)  # (check name, detail)
+    lp_paths: list = field(default_factory=list)  # SimplexResult.path per LP solved
 
     def require(self, name: str, ok: bool, detail: str = ""):
         if ok:
@@ -120,6 +120,7 @@ def _expected_surplus_over_costs(instance: Instance) -> Q:
 def check_benchmark(instance: Instance) -> InstanceReport:
     rep = InstanceReport(instance.name)
     sol = solve_profit_lp(instance)
+    rep.lp_paths.append(sol.path)
     exa = ex_ante(instance, sol.mechanism)
     bench = benchmark_terms(instance, sol.mechanism, exa)
     rep.values.update(
@@ -152,6 +153,7 @@ def check_benchmark(instance: Instance) -> InstanceReport:
 def check_single_buyer(instance: Instance, constrained: bool) -> InstanceReport:
     rep = InstanceReport(instance.name)
     sol = solve_profit_lp(instance)
+    rep.lp_paths.append(sol.path)
     opt = sol.objective
     ip = brute_posted_price_opt(instance, "IP").value
     pp = brute_posted_price_opt(instance, "PP").value
@@ -238,6 +240,7 @@ def check_single_buyer(instance: Instance, constrained: bool) -> InstanceReport:
 def check_single_item(instance: Instance) -> InstanceReport:
     rep = InstanceReport(instance.name)
     sol = solve_profit_lp(instance)
+    rep.lp_paths.append(sol.path)
     target = _expected_surplus_over_costs(instance)
     rep.values.update(opt_profit=sol.objective)
     rep.require(
@@ -391,6 +394,7 @@ def check_multi(instance: Instance) -> InstanceReport:
     """The multi-buyer approximation chain on one matroid instance."""
     rep = InstanceReport(instance.name)
     sol = solve_profit_lp(instance)
+    rep.lp_paths.append(sol.path)
     opt = sol.objective
     exa = ex_ante(instance, sol.mechanism)
     bench = benchmark_terms(instance, sol.mechanism, exa)
@@ -592,10 +596,17 @@ def check_monte_carlo(instance: Instance, seed: int) -> InstanceReport:
     rep = InstanceReport(instance.name)
     spec = construct_csip_from_copies(instance)
     exact = evaluate(instance, spec).profit
+    # a short run repeated with the same seed must give the same numbers
+    first = monte_carlo_eval(instance, spec, samples=2_000, seed=seed)
+    again = monte_carlo_eval(instance, spec, samples=2_000, seed=seed)
     mc = monte_carlo_eval(instance, spec, samples=100_000, seed=seed)
     covered = abs(mc.estimate - float(exact)) <= mc.half_width + 1e-12
     rep.values.update(opt_profit=exact)
-    rep.require("mc_reproducible", True)
+    rep.require(
+        "mc_reproducible",
+        (first.estimate, first.half_width) == (again.estimate, again.half_width),
+        f"{first.estimate}+-{first.half_width} then {again.estimate}+-{again.half_width}",
+    )
     rep.require("mc_covered", covered, f"{mc.estimate}+-{mc.half_width} vs {exact}")
     rep.values["csip"] = exact
     return rep
@@ -714,6 +725,7 @@ def _worker(task) -> dict:
         "row": rep.row(),
         "passed": rep.passed,
         "failed": [list(f) for f in rep.failed],
+        "lp_paths": rep.lp_paths,
     }
 
 
@@ -788,6 +800,9 @@ def run_suite(
     tasks = build_corpus(suite, seed, count)
     workers = workers or min(os.cpu_count() or 1, 4)
     if workers > 1 and len(tasks) > 1:
+        # imported here, as it adds about 2 MiB to any process importing suites
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, tasks, chunksize=4))
     else:
@@ -806,6 +821,10 @@ def run_suite(
                 )
             raise RuntimeError(f"{suite}: internal error: {r['error']}")
     n_fail = sum(1 for r in results if r["failed"])
+    lp_paths = {"certified": 0, "exact": 0}
+    for r in results:
+        for path in r["lp_paths"]:
+            lp_paths[path] += 1
     passed_count = len(results) - n_fail
     if min_pass_fraction is None:
         ok = n_fail == 0
@@ -817,6 +836,7 @@ def run_suite(
         "instances": len(results),
         "passed_instances": passed_count,
         "all_passed": ok,
+        "lp_paths": lp_paths,
         "failures": [
             {"instance": r["instance_id"], "checks": r["failed"]}
             for r in results

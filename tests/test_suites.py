@@ -40,6 +40,7 @@ def test_reports_written(tmp_path):
     assert len(rows) == 5
     blob = json.loads((out / "benchmark.json").read_text())
     assert blob["suite"] == "benchmark" and blob["all_passed"]
+    assert sum(blob["lp_paths"].values()) == 4  # one profit LP per instance
 
 
 def test_reports_deterministic(tmp_path):
@@ -73,3 +74,18 @@ def test_failure_replay(tmp_path):
     payload = instance_to_dict(inst)
     out = _worker(("nonsense-check", payload, {}))
     assert "error" in out
+
+
+def test_mc_reproducible_fails_when_reruns_differ(canonical, monkeypatch):
+    from permitlab import suites
+
+    real = suites.monte_carlo_eval
+    calls = []
+
+    def drifting(instance, spec, samples, seed):
+        calls.append(seed)  # each call draws from a different stream
+        return real(instance, spec, min(samples, 2_000), seed + len(calls))
+
+    monkeypatch.setattr(suites, "monte_carlo_eval", drifting)
+    rep = suites.check_monte_carlo(canonical, seed=3)
+    assert "mc_reproducible" in [name for name, _ in rep.failed]
