@@ -347,14 +347,6 @@ def _check_complementary_slackness(model: ProfitLP, res: SimplexResult):
             raise AssertionError(f"row {r} has positive dual but positive slack")
 
 
-def flow_is_conserved(instance: Instance, lam: dict) -> bool:
-    try:
-        _check_flow_conservation(instance, lam)
-        return True
-    except AssertionError:
-        return False
-
-
 def virtual_value_vector(instance: Instance, lam: dict, i: int, ti_idx: int):
     """Phi_i(t_i) = t_i - (1/f(t_i)) * sum_t' lam(t', t_i) (t' - t_i), per coordinate."""
     types = instance.buyer_types(i)

@@ -13,8 +13,10 @@ with the stored probability, which never changes buyer surplus.
 
 from __future__ import annotations
 
+import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
 
 from .benchmark import ExAnte, surplus_tables
 from .model import Instance, vbar
@@ -72,6 +74,8 @@ class EvalResult:
     permit_buy_prob: dict = field(default_factory=dict)  # (i, j) -> Q
     bundle_pay_prob: dict = field(default_factory=dict)  # i -> Q
     serve_prob: dict = field(default_factory=dict)  # (i, j, c_idx) -> conditional Q
+    stage1: dict = field(default_factory=dict)  # i -> ((permit mask, payment) per type)
+    keep_probs: dict = field(default_factory=dict)  # (i, j, c_idx) -> keep prob used
     lower_bound_only: bool = False
 
 
@@ -237,7 +241,8 @@ def evaluate(
     permit_buy = {}
     bundle_pay = {}
     serve = {}
-    hiding_probs = {}
+    stage1 = {}
+    keep_probs = {}
 
     for i in spec.buyer_order(n):
         avail_states = []
@@ -262,11 +267,12 @@ def evaluate(
                             f"item {j} available to buyer {i} with probability {a} < 1/2"
                         )
                     row[j] = HALF / a
-                    hiding_probs[(i, j, c_idx)] = row[j]
             elif spec.hiding_probs:
                 for j in range(m):
                     row[j] = spec.hiding_probs.get((i, j, c_idx), ONE)
             keep_rows.append(row)
+            for j in range(m):
+                keep_probs[(i, j, c_idx)] = row[j]
         avail = AvailabilityModel(instance, avail_states, keep_rows)
 
         types = instance.buyer_types(i)
@@ -275,9 +281,11 @@ def evaluate(
             tuple(spec.price(i, j, c) for j in range(m)) for c in range(n_atoms)
         ]
         next_states = [dict() for _ in range(n_atoms)]
+        decisions = []
         for ti_idx, t_i in enumerate(types):
             f = fprobs[ti_idx]
             permits, stage1_pay = best_response_permits(instance, i, t_i, spec, avail)
+            decisions.append((permits, stage1_pay))
             if spec.kind == "RSPP" and permits:
                 j = permits.bit_length() - 1
                 permit_buy[(i, j)] = permit_buy.get((i, j), ZERO) + f
@@ -341,6 +349,7 @@ def evaluate(
                             next_states[c_idx].get(nmask, ZERO) + wgt
                         )
         states = next_states
+        stage1[i] = tuple(decisions)
 
     profit = sum(revenue, ZERO) - sum(cost, ZERO)
     check = sum(
@@ -348,8 +357,6 @@ def evaluate(
     )
     if profit != check:
         raise AssertionError("per-atom profit does not re-sum to total profit")
-    if spec.kind == "RSPP" and spec.hide_to_half:
-        spec.hiding_probs.update(hiding_probs)
     return EvalResult(
         profit=profit,
         revenue=tuple(revenue),
@@ -358,25 +365,9 @@ def evaluate(
         permit_buy_prob=permit_buy,
         bundle_pay_prob=bundle_pay,
         serve_prob=serve,
+        stage1=stage1,
+        keep_probs=keep_probs,
     )
-
-
-def eval_csip(instance: Instance, spec: MechanismSpec) -> EvalResult:
-    if spec.kind not in ("CSIP", "IP"):
-        raise ValueError("eval_csip expects an IP or CSIP spec")
-    return evaluate(instance, spec)
-
-
-def eval_pp_rspp(instance: Instance, spec: MechanismSpec) -> EvalResult:
-    if spec.kind not in ("PP", "RSPP"):
-        raise ValueError("eval_pp_rspp expects a PP or RSPP spec")
-    return evaluate(instance, spec)
-
-
-def eval_pb_spb(instance: Instance, spec: MechanismSpec) -> EvalResult:
-    if spec.kind not in ("PB", "SPB"):
-        raise ValueError("eval_pb_spb expects a PB or SPB spec")
-    return evaluate(instance, spec)
 
 
 def monte_carlo_eval(
@@ -384,65 +375,74 @@ def monte_carlo_eval(
 ) -> EvalResult:
     """Unbiased sampled profit with a 99% normal-approximation half-width.
 
-    Stage-1 decisions are exact (they depend on distributions, not draws),
-    taken from a dry exact pass; only the realized dynamics are sampled.
+    Stage-1 decisions depend on distributions, not draws, so the permit
+    choices, stage-1 payments and keep probabilities come from one exact
+    evaluate() pass, which brings its size guard; only the realized dynamics
+    are sampled. A buyer's outcome is fixed by (buyer, type, cost atom,
+    usable items, sold pairs), so it is computed once per key and call and
+    looked up afterwards. Every draw, and the order in which floats are
+    summed, is that of the plain per-sample loop.
     """
-    import random
-
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    exact = evaluate(instance, spec)
     rng = random.Random(seed)
     n, m = instance.n, instance.m
     n_atoms = len(instance.costs)
-    item_bits = [_item_bits(n, m, j) for j in range(m)]
-    atom_probs = [float(instance.costs.prob(c)) for c in range(n_atoms)]
-    type_tables = []
-    for i in range(n):
-        probs = [float(p) for p in instance.buyer_type_probs(i)]
-        type_tables.append(probs)
+    order = spec.buyer_order(n)
+    atom_cum = _cumulative(instance.costs.prob(c) for c in range(n_atoms))
+    type_cums = [_cumulative(instance.buyer_type_probs(i)) for i in range(n)]
 
-    # decision cache: re-derive each buyer's stage-1 choice with the same
-    # availability model the exact pass used (recomputed per buyer here)
-    decisions = _decision_tables(instance, spec)
+    # plans[i][t][c]: float stage-1 payment, and (item, its pair bits, float
+    # usable probability) per eligible item in coin-draw order
+    plans = {}
+    for i in order:
+        plans[i] = []
+        for t_idx, t_i in enumerate(instance.buyer_types(i)):
+            permits, pay = exact.stage1[i][t_idx]
+            per_atom = []
+            for c_idx in range(n_atoms):
+                coins = []
+                for j in range(m):
+                    if not (permits >> j) & 1:
+                        continue
+                    p = spec.price(i, j, c_idx)
+                    if t_i[j] > p:
+                        elig = 1.0
+                    elif t_i[j] == p:
+                        elig = float(spec.allow(i, j, c_idx))
+                    else:
+                        continue
+                    u = float(exact.keep_probs[(i, j, c_idx)]) * elig
+                    if u > 0:
+                        coins.append((j, _item_bits(n, m, j), u))
+                per_atom.append((float(pay), tuple(coins)))
+            plans[i].append(per_atom)
 
+    outcomes = {}  # (i, t, c, usable, sold) -> (pairs bought, float gains)
     total = 0.0
     total_sq = 0.0
     for _ in range(samples):
-        c_idx = _draw(rng, atom_probs)
-        cvec = instance.costs.vector(c_idx)
-        t_idx = [_draw(rng, type_tables[i]) for i in range(n)]
+        c_idx = _draw(rng, atom_cum)
+        t_idx = [_draw(rng, type_cums[i]) for i in range(n)]
         sold = 0
         profit = 0.0
-        for i in spec.buyer_order(n):
-            t_i = instance.buyer_types(i)[t_idx[i]]
-            permits, stage1_pay, keep_rows = decisions[i][t_idx[i]]
-            profit += float(stage1_pay)
-            prices = tuple(spec.price(i, j, c_idx) for j in range(m))
+        for i in order:
+            t = t_idx[i]
+            pay, coins = plans[i][t][c_idx]
+            profit += pay
             usable = 0
-            for j in range(m):
-                if not ((permits >> j) & 1) or (sold & item_bits[j]):
-                    continue
-                if t_i[j] > prices[j]:
-                    elig = 1.0
-                elif t_i[j] == prices[j]:
-                    elig = float(spec.allow(i, j, c_idx))
-                else:
-                    continue
-                u = float(keep_rows[c_idx][j]) * elig
-                if u > 0 and rng.random() < u:
+            for j, bits, u in coins:
+                if not (sold & bits) and rng.random() < u:
                     usable |= 1 << j
-            sub_fam = (
-                spec.sub_constraint.get(c_idx)
-                if spec.sub_constraint is not None
-                else None
-            )
-            bundle, _ = _choose_bundle(instance, i, t_i, prices, usable, sold, sub_fam)
-            t = bundle
-            while t:
-                j = (t & -t).bit_length() - 1
-                profit += float(prices[j] - cvec[j])
-                t &= t - 1
-            sold |= _pairs_mask(i, m, bundle)
+            key = (i, t, c_idx, usable, sold)
+            out = outcomes.get(key)
+            if out is None:
+                out = outcomes[key] = _sampled_outcome(instance, spec, key)
+            pairs, gains = out
+            for g in gains:
+                profit += g
+            sold |= pairs
         total += profit
         total_sq += profit * profit
     mean = total / samples
@@ -451,90 +451,30 @@ def monte_carlo_eval(
     return EvalResult(estimate=mean, half_width=half, samples=samples)
 
 
-def _draw(rng, probs):
-    x = rng.random()
-    acc = 0.0
-    for k, p in enumerate(probs):
-        acc += p
-        if x < acc:
-            return k
-    return len(probs) - 1
+def _cumulative(probs) -> list:
+    """Running float sums of the probabilities, in order."""
+    return list(accumulate(float(p) for p in probs))
 
 
-def _decision_tables(instance: Instance, spec: MechanismSpec):
-    """Stage-1 decisions and keep probabilities per buyer and type, computed
-    with the same exact state recursion as evaluate()."""
-    n, m = instance.n, instance.m
-    n_atoms = len(instance.costs)
-    item_bits = [_item_bits(n, m, j) for j in range(m)]
-    states = [{0: ONE} for _ in range(n_atoms)]
-    out = {}
-    for i in spec.buyer_order(n):
-        avail_states = []
-        keep_rows = []
-        for c_idx in range(n_atoms):
-            amasks = {}
-            for mask, p in states[c_idx].items():
-                am = 0
-                for j in range(m):
-                    if not (mask & item_bits[j]):
-                        am |= 1 << j
-                amasks[am] = amasks.get(am, ZERO) + p
-            avail_states.append(amasks)
-            row = [ONE] * m
-            if spec.kind == "RSPP" and spec.hide_to_half:
-                for j in range(m):
-                    a = sum((p for am, p in amasks.items() if (am >> j) & 1), ZERO)
-                    if a < HALF:
-                        raise ConstructionError("hiding impossible")
-                    row[j] = HALF / a
-            elif spec.hiding_probs:
-                for j in range(m):
-                    row[j] = spec.hiding_probs.get((i, j, c_idx), ONE)
-            keep_rows.append(row)
-        avail = AvailabilityModel(instance, avail_states, keep_rows)
-        types = instance.buyer_types(i)
-        fprobs = instance.buyer_type_probs(i)
-        out[i] = {}
-        next_states = [dict() for _ in range(n_atoms)]
-        for ti_idx, t_i in enumerate(types):
-            permits, pay = best_response_permits(instance, i, t_i, spec, avail)
-            out[i][ti_idx] = (permits, pay, keep_rows)
-            f = fprobs[ti_idx]
-            for c_idx in range(n_atoms):
-                prices = tuple(spec.price(i, j, c_idx) for j in range(m))
-                keep = keep_rows[c_idx]
-                sub_fam = (
-                    spec.sub_constraint.get(c_idx)
-                    if spec.sub_constraint is not None
-                    else None
-                )
-                for mask, p_state in states[c_idx].items():
-                    cands = []
-                    for j in range(m):
-                        if not ((permits >> j) & 1) or (mask & item_bits[j]):
-                            continue
-                        if t_i[j] > prices[j]:
-                            elig = ONE
-                        elif t_i[j] == prices[j]:
-                            elig = spec.allow(i, j, c_idx)
-                        else:
-                            continue
-                        u = keep[j] * elig
-                        if u > 0:
-                            cands.append((j, u))
-                    for umask, w in _coin_split(cands):
-                        if w == 0:
-                            continue
-                        bundle, _ = _choose_bundle(
-                            instance, i, t_i, prices, umask, mask, sub_fam
-                        )
-                        nmask = mask | _pairs_mask(i, m, bundle)
-                        next_states[c_idx][nmask] = (
-                            next_states[c_idx].get(nmask, ZERO) + f * p_state * w
-                        )
-        states = next_states
-    return out
+def _draw(rng, cum):
+    """First index whose cumulative probability exceeds a uniform draw; the
+    last index when rounding leaves the draw above them all."""
+    k = bisect_right(cum, rng.random())
+    return k if k < len(cum) else len(cum) - 1
+
+
+def _sampled_outcome(instance, spec, key):
+    """Pairs a buyer buys, and the float price - cost per bought item in
+    ascending item order, at one realized (type, atom, usable, sold) key."""
+    i, t_idx, c_idx, usable, sold = key
+    m = instance.m
+    prices = tuple(spec.price(i, j, c_idx) for j in range(m))
+    cvec = instance.costs.vector(c_idx)
+    sub_fam = spec.sub_constraint.get(c_idx) if spec.sub_constraint is not None else None
+    t_i = instance.buyer_types(i)[t_idx]
+    bundle, _ = _choose_bundle(instance, i, t_i, prices, usable, sold, sub_fam)
+    gains = tuple(float(prices[j] - cvec[j]) for j in range(m) if (bundle >> j) & 1)
+    return _pairs_mask(i, m, bundle), gains
 
 
 # -- Constructions from the approximation proofs -------------------------------
@@ -761,11 +701,14 @@ def construct_spb_core(instance: Instance, exa: ExAnte, delta) -> MechanismSpec:
 @dataclass(eq=False)
 class AuxMechanism:
     """A direct mechanism selling permit sets against the surplus valuation:
-    per buyer type, a distribution over permit masks and a payment."""
+    per buyer type, a distribution over permit masks and a payment. The
+    posted-price ones also keep their per-permit or bundle price."""
 
     instance: Instance
     alloc: dict  # ti_idx -> tuple of (mask, prob)
     payment: dict  # ti_idx -> Q
+    permit_prices: tuple = None  # per item, when permits are sold separately
+    bundle_price: Q = None  # when only the grand bundle is sold
 
     def revenue(self) -> Q:
         fp = self.instance.buyer_type_probs(0)
@@ -792,7 +735,7 @@ def aux_sell_separately(instance: Instance, permit_prices) -> AuxMechanism:
                 best = (key, pm, pay)
         alloc[ti_idx] = ((best[1], ONE),)
         payment[ti_idx] = best[2]
-    return AuxMechanism(instance, alloc, payment)
+    return AuxMechanism(instance, alloc, payment, permit_prices=tuple(permit_prices))
 
 
 def aux_grand_bundle(instance: Instance, delta) -> AuxMechanism:
@@ -805,7 +748,7 @@ def aux_grand_bundle(instance: Instance, delta) -> AuxMechanism:
         else:
             alloc[ti_idx] = ((0, ONE),)
             payment[ti_idx] = ZERO
-    return AuxMechanism(instance, alloc, payment)
+    return AuxMechanism(instance, alloc, payment, bundle_price=delta)
 
 
 def check_aux_truthful(aux: AuxMechanism):
@@ -832,59 +775,22 @@ def check_aux_truthful(aux: AuxMechanism):
                 )
 
 
-@dataclass(eq=False)
-class TwoStagePermitMechanism:
-    """Stage 1: run the auxiliary mechanism on permits. Stage 2: reveal costs
-    and sell permitted items at cost. Profit equals the auxiliary revenue."""
-
-    instance: Instance
-    aux: AuxMechanism
-
-    def profit(self) -> Q:
-        inst = self.instance
-        fp = inst.buyer_type_probs(0)
-        total = ZERO
-        for ti_idx, t_i in enumerate(inst.buyer_types(0)):
-            total += fp[ti_idx] * self.aux.payment.get(ti_idx, ZERO)
-            for mask, pr in self.aux.alloc.get(ti_idx, ((0, ONE),)):
-                for c_idx, (cvec, pc) in enumerate(inst.costs.atoms):
-                    _, bundle = _stage2_at_cost(inst, t_i, mask, cvec)
-                    t = bundle
-                    while t:
-                        j = (t & -t).bit_length() - 1
-                        total += fp[ti_idx] * pr * pc * (cvec[j] - cvec[j])
-                        t &= t - 1
-        return total
-
-
-def _stage2_at_cost(instance, t_i, permit_mask, cvec):
-    weights = tuple(t_i[j] - cvec[j] for j in range(instance.m))
-    best = (ZERO, 0)
-    for s in instance.families[0].members():
-        if s & ~permit_mask:
-            continue
-        v = ZERO
-        t = s
-        while t:
-            j = (t & -t).bit_length() - 1
-            v += weights[j]
-            t &= t - 1
-        if (v, bin(s).count("1"), -s) > (best[0], bin(best[1]).count("1"), -best[1]):
-            best = (v, s)
-    return best
-
-
-def convert_revenue_to_permit(instance: Instance, aux: AuxMechanism):
-    """Lift an auxiliary permit-revenue mechanism to a two-stage profit
-    mechanism with item prices equal to cost; checks truthfulness first and
-    that the exact profit equals the auxiliary revenue."""
+def convert_revenue_to_permit(instance: Instance, aux: AuxMechanism) -> MechanismSpec:
+    """Lift a posted-price auxiliary permit mechanism to the two-stage profit
+    mechanism: stage 1 sells the same permits at the same prices, stage 2
+    sells every permitted item at cost. Checks truthfulness first. The
+    reduction claims that the exact profit of the returned PP or PB spec
+    equals the auxiliary revenue; callers check that through evaluate()."""
     if instance.n != 1:
         raise ValueError("the permit reduction is a single-buyer construction")
     check_aux_truthful(aux)
-    two = TwoStagePermitMechanism(instance, aux)
-    if two.profit() != aux.revenue():
-        raise AssertionError("converted profit differs from auxiliary revenue")
-    return two
+    if aux.permit_prices is not None:
+        return _pp_spec(
+            instance, {(0, j): p for j, p in enumerate(aux.permit_prices)}
+        )
+    if aux.bundle_price is not None:
+        return _pb_spec(instance, aux.bundle_price)
+    raise ValueError("only posted permit or bundle prices lift to a mechanism spec")
 
 
 # -- Family search ---------------------------------------------------------------

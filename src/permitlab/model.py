@@ -447,15 +447,6 @@ class ExplicitPairFamily(PairFamily):
         return pair_mask in self._set
 
 
-class IntersectionPairFamily(PairFamily):
-    def __init__(self, *parts):
-        super().__init__(parts[0].n, parts[0].m)
-        self.parts = parts
-
-    def contains(self, pair_mask: int) -> bool:
-        return all(p.contains(pair_mask) for p in self.parts)
-
-
 # -- Thresholds (beta) --------------------------------------------------------
 
 

@@ -211,22 +211,27 @@ def check_single_buyer(instance: Instance, constrained: bool) -> InstanceReport:
     rep.require("item_pricing_below_opt", res.profit <= opt)
 
     # permit reductions: selling permits separately / as a bundle, lifted to
-    # two-stage mechanisms, must earn exactly the auxiliary revenue
+    # two-stage mechanisms (the same permits, then items at cost), must earn
+    # exactly the auxiliary revenue
     pp_spec, pp_res = search_best(instance, "PP")
     aux_sep = aux_sell_separately(
         instance, tuple(pp_spec.permit_prices[(0, j)] for j in range(instance.m))
     )
-    lifted = convert_revenue_to_permit(instance, aux_sep)
+    lifted = evaluate(instance, convert_revenue_to_permit(instance, aux_sep)).profit
+    aux_rev = aux_sep.revenue()
     rep.require(
         "permit_reduction_separate",
-        lifted.profit() == aux_sep.revenue() == pp_res.profit,
+        lifted == aux_rev == pp_res.profit,
+        f"lifted {lifted}, auxiliary {aux_rev}, search {pp_res.profit}",
     )
     pb_spec, pb_res = search_best(instance, "PB")
     aux_bund = aux_grand_bundle(instance, pb_spec.bundle_prices[0])
-    lifted_b = convert_revenue_to_permit(instance, aux_bund)
+    lifted_b = evaluate(instance, convert_revenue_to_permit(instance, aux_bund)).profit
+    aux_rev_b = aux_bund.revenue()
     rep.require(
         "permit_reduction_bundle",
-        lifted_b.profit() == aux_bund.revenue() == pb_res.profit,
+        lifted_b == aux_rev_b == pb_res.profit,
+        f"lifted {lifted_b}, auxiliary {aux_rev_b}, search {pb_res.profit}",
     )
     rep.require("search_matches_oracle_pb", pb_res.profit == pb)
     if not constrained:

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permitlab.benchmark import core_deltas, core_tail, ex_ante, rspp_tail_thresholds
 from permitlab.lp import solve_profit_lp
@@ -14,18 +18,19 @@ from permitlab.mechanisms import (
     construct_rspp_tau,
     construct_spb_core,
     convert_revenue_to_permit,
-    eval_csip,
-    eval_pb_spb,
-    eval_pp_rspp,
     evaluate,
     monte_carlo_eval,
     search_best,
 )
+from permitlab.generator import random_instance
 from permitlab.model import (
+    AuctionFeasibility,
     CostModel,
     DiscreteDist,
+    ExplicitPairFamily,
     Instance,
     UniformMatroid,
+    UnitDemandPairs,
 )
 from permitlab.myerson import copies_opt_additive, copies_opt_ud
 from permitlab.oracles import brute_posted_price_opt
@@ -43,35 +48,35 @@ def cost_prices(inst):
 
 def test_eval_csip_examples(canonical):
     spec = MechanismSpec("IP", {(0, 0, 0): Q(2), (0, 0, 1): Q(2)})
-    assert eval_csip(canonical, spec).profit == Q(3, 4)
+    assert evaluate(canonical, spec).profit == Q(3, 4)
     high = MechanismSpec("IP", {(0, 0, 0): Q(9), (0, 0, 1): Q(9)})
-    assert eval_csip(canonical, high).profit == 0
+    assert evaluate(canonical, high).profit == 0
     below = MechanismSpec("IP", {(0, 0, 0): ZERO, (0, 0, 1): ZERO})
-    assert eval_csip(canonical, below).profit == Q(-1, 2)  # losses are reported
+    assert evaluate(canonical, below).profit == Q(-1, 2)  # losses are reported
 
 
 def test_eval_pp_examples(canonical):
     spec = MechanismSpec(
         "PP", cost_prices(canonical), permit_prices={(0, 0): Q(3, 2)}
     )
-    res = eval_pp_rspp(canonical, spec)
+    res = evaluate(canonical, spec)
     assert res.profit == Q(3, 4)
     assert res.permit_buy_prob[(0, 0)] == Q(1, 2)  # the tie buys
     free = MechanismSpec("PP", cost_prices(canonical), permit_prices={(0, 0): ZERO})
-    assert eval_pp_rspp(canonical, free).profit == 0
+    assert evaluate(canonical, free).profit == 0
     steep = MechanismSpec("PP", cost_prices(canonical), permit_prices={(0, 0): Q(99)})
-    assert eval_pp_rspp(canonical, steep).profit == 0
+    assert evaluate(canonical, steep).profit == 0
 
 
 def test_eval_pb_examples(canonical):
     spec = MechanismSpec(
         "PB", cost_prices(canonical), bundle_prices={0: Q(3, 2)}
     )
-    assert eval_pb_spb(canonical, spec).profit == Q(3, 4)
+    assert evaluate(canonical, spec).profit == Q(3, 4)
     zero = MechanismSpec("PB", cost_prices(canonical), bundle_prices={0: ZERO})
-    assert eval_pb_spb(canonical, zero).profit == 0
+    assert evaluate(canonical, zero).profit == 0
     steep = MechanismSpec("PB", cost_prices(canonical), bundle_prices={0: Q(99)})
-    assert eval_pb_spb(canonical, steep).profit == 0
+    assert evaluate(canonical, steep).profit == 0
 
 
 def test_best_response_permit_examples():
@@ -147,13 +152,25 @@ def test_monte_carlo(canonical):
     assert mc.estimate == 2.0 and mc.half_width == 0.0
 
 
-def test_conversion_equalities(canonical):
+def test_conversion_equalities(canonical, two_iid_items):
     aux = aux_sell_separately(canonical, (Q(3, 2),))
     two = convert_revenue_to_permit(canonical, aux)
-    assert two.profit() == aux.revenue() == Q(3, 4)
+    assert two.kind == "PP" and two.permit_prices == {(0, 0): Q(3, 2)}
+    assert two.item_prices == cost_prices(canonical)
+    assert evaluate(canonical, two).profit == aux.revenue() == Q(3, 4)
     auxb = aux_grand_bundle(canonical, Q(3, 2))
     twob = convert_revenue_to_permit(canonical, auxb)
-    assert twob.profit() == auxb.revenue() == Q(3, 4)
+    assert twob.kind == "PB" and twob.bundle_prices == {0: Q(3, 2)}
+    assert evaluate(canonical, twob).profit == auxb.revenue() == Q(3, 4)
+    # two items: the lifted profit is the permit revenue, not a re-sum of it
+    for prices in ((Q(1, 2), Q(3, 2)), (Q(1), Q(1)), (ZERO, Q(2))):
+        aux2 = aux_sell_separately(two_iid_items, prices)
+        lifted = evaluate(two_iid_items, convert_revenue_to_permit(two_iid_items, aux2))
+        assert lifted.profit == aux2.revenue()
+        assert lifted.profit == sum(
+            (p * lifted.permit_buy_prob.get((0, j), ZERO) for j, p in enumerate(prices)),
+            ZERO,
+        )
 
 
 def test_conversion_rejects_untruthful(canonical):
@@ -218,8 +235,9 @@ def test_rspp_hiding_probability_single():
         permit_prices={(0, 0): Q(1, 2)},
         hide_to_half=True,
     )
-    evaluate(inst, spec)
-    assert spec.hiding_probs[(0, 0, 0)] == HALF
+    res = evaluate(inst, spec)
+    assert res.keep_probs[(0, 0, 0)] == HALF
+    assert spec.hiding_probs == {}  # the caller's spec is left as it was
 
 
 def test_multi_constructions_chain():
@@ -307,17 +325,13 @@ def test_no_profitable_stage_one_deviation():
     # replaying any other type's permit strategy never beats the own best
     # response (the evaluator's buyers are argmax players by construction)
     from permitlab.mechanisms import _expected_utility
-    from permitlab.benchmark import ex_ante, core_tail
-    from permitlab.lp import solve_profit_lp
 
     inst = _multi_instance()
     sol = solve_profit_lp(inst)
     exa = ex_ante(inst, sol.mechanism)
     ct = core_tail(inst, exa.beta)
     spec = construct_rspp_tau(inst, exa, ct.tau)
-    from permitlab.mechanisms import _decision_tables
-
-    tables = _decision_tables(inst, spec)
+    decisions = evaluate(inst, spec).stage1
     states = [{inst.full_mask(): Q(1)} for _ in range(len(inst.costs))]
     avail = AvailabilityModel(inst, states, [[HALF, HALF]] * len(inst.costs))
     i = 0
@@ -326,10 +340,196 @@ def test_no_profitable_stage_one_deviation():
         for c in range(len(inst.costs))
     ]
     types = inst.buyer_types(i)
+    assert len(decisions[i]) == len(types)
     for ti, t_i in enumerate(types):
-        own_permits, own_pay = tables[i][ti][0], tables[i][ti][1]
+        own_permits, own_pay = decisions[i][ti]
         own = _expected_utility(inst, i, t_i, own_permits, avail, prices) - own_pay
-        for alt in range(len(types)):
-            alt_permits, alt_pay = tables[i][alt][0], tables[i][alt][1]
+        for alt_permits, alt_pay in decisions[i]:
             dev = _expected_utility(inst, i, t_i, alt_permits, avail, prices) - alt_pay
             assert dev <= own
+
+
+# -- Monte-Carlo: the memoized sampler against the plain per-sample loop ------
+
+
+def _scan_draw(rng, probs):
+    x = rng.random()
+    acc = 0.0
+    for k, p in enumerate(probs):
+        acc += p
+        if x < acc:
+            return k
+    return len(probs) - 1
+
+
+def _reference_mc(instance, spec, samples, seed):
+    """The plain sampling loop: a linear scan per draw, Fraction prices and one
+    bundle choice per buyer and sample. Stage-1 decisions and keep
+    probabilities come from evaluate(), as they are exact."""
+    from permitlab.mechanisms import _choose_bundle, _item_bits, _pairs_mask
+
+    exact = evaluate(instance, spec)
+    rng = random.Random(seed)
+    n, m = instance.n, instance.m
+    n_atoms = len(instance.costs)
+    item_bits = [_item_bits(n, m, j) for j in range(m)]
+    atom_probs = [float(instance.costs.prob(c)) for c in range(n_atoms)]
+    type_tables = [[float(p) for p in instance.buyer_type_probs(i)] for i in range(n)]
+    total = 0.0
+    total_sq = 0.0
+    for _ in range(samples):
+        c_idx = _scan_draw(rng, atom_probs)
+        cvec = instance.costs.vector(c_idx)
+        t_idx = [_scan_draw(rng, type_tables[i]) for i in range(n)]
+        sold = 0
+        profit = 0.0
+        for i in spec.buyer_order(n):
+            t_i = instance.buyer_types(i)[t_idx[i]]
+            permits, stage1_pay = exact.stage1[i][t_idx[i]]
+            profit += float(stage1_pay)
+            prices = tuple(spec.price(i, j, c_idx) for j in range(m))
+            usable = 0
+            for j in range(m):
+                if not ((permits >> j) & 1) or (sold & item_bits[j]):
+                    continue
+                if t_i[j] > prices[j]:
+                    elig = 1.0
+                elif t_i[j] == prices[j]:
+                    elig = float(spec.allow(i, j, c_idx))
+                else:
+                    continue
+                u = float(exact.keep_probs[(i, j, c_idx)]) * elig
+                if u > 0 and rng.random() < u:
+                    usable |= 1 << j
+            sub_fam = (
+                spec.sub_constraint.get(c_idx)
+                if spec.sub_constraint is not None
+                else None
+            )
+            bundle, _ = _choose_bundle(instance, i, t_i, prices, usable, sold, sub_fam)
+            t = bundle
+            while t:
+                j = (t & -t).bit_length() - 1
+                profit += float(prices[j] - cvec[j])
+                t &= t - 1
+            sold |= _pairs_mask(i, m, bundle)
+        total += profit
+        total_sq += profit * profit
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return mean, 2.5758293035489004 * (var / samples) ** 0.5
+
+
+def _sampled(instance, spec, samples, seed):
+    res = monte_carlo_eval(instance, spec, samples=samples, seed=seed)
+    assert res.samples == samples
+    return res.estimate, res.half_width
+
+
+def _six_kinds(canonical, two_iid_items):
+    inst = _multi_instance()
+    sol = solve_profit_lp(inst)
+    exa = ex_ante(inst, sol.mechanism)
+    ct = core_tail(inst, exa.beta)
+    xi = rspp_tail_thresholds(inst, exa.beta, ct)
+    csip = construct_csip_from_copies(inst)
+    assert csip.kind == "CSIP" and csip.sub_constraint is not None
+    tau = construct_rspp_tau(inst, exa, ct.tau)
+    assert tau.hide_to_half
+    spb = construct_spb_core(inst, exa, core_deltas(inst, exa.beta, ct))
+    assert spb.kind == "SPB"
+    one_pair = ExplicitPairFamily(2, 2, [0] + [1 << e for e in range(4)])
+    tenth = {k: v + Q(1, 10) for k, v in cost_prices(two_iid_items).items()}
+    return [
+        ("IP", canonical, MechanismSpec("IP", {(0, 0, 0): Q(2), (0, 0, 1): Q(2)})),
+        ("PP", two_iid_items, search_best(two_iid_items, "PP")[0]),
+        # non-dyadic payments and gains, so a change of summation order shows
+        (
+            "PP",
+            two_iid_items,
+            MechanismSpec("PP", tenth, permit_prices={(0, 0): Q(2, 7), (0, 1): ZERO}),
+        ),
+        ("PB", two_iid_items, search_best(two_iid_items, "PB")[0]),
+        ("CSIP", inst, csip),
+        # at most one pair sold in all: the second buyer's choice depends on
+        # what the first bought
+        (
+            "CSIP",
+            inst,
+            MechanismSpec(
+                "CSIP",
+                {k: v + Q(1, 3) for k, v in cost_prices(inst).items()},
+                sub_constraint={c: one_pair for c in range(len(inst.costs))},
+            ),
+        ),
+        ("RSPP", inst, tau),
+        ("RSPP", inst, construct_rspp_tail(inst, exa, xi)),
+        ("SPB", inst, spb),
+    ]
+
+
+def test_sampler_matches_reference_on_every_kind(canonical, two_iid_items):
+    cases = _six_kinds(canonical, two_iid_items)
+    assert {kind for kind, _, _ in cases} == {"IP", "PP", "PB", "CSIP", "RSPP", "SPB"}
+    first = None
+    for k, (kind, inst, spec) in enumerate(cases):
+        assert spec.kind == kind
+        got = _sampled(inst, spec, 3_000, 100 + k)
+        assert got == _reference_mc(inst, spec, 3_000, 100 + k), kind
+        if first is None:
+            first = got
+        # one sample is its own mean: rounding a long run's total hides a
+        # last-bit change in one sample's profit, this does not
+        for seed in range(8):
+            assert _sampled(inst, spec, 1, seed) == _reference_mc(inst, spec, 1, seed)
+    # the first spec again, after others were sampled: no memo outlives a call
+    _, inst, spec = cases[0]
+    assert _sampled(inst, spec, 3_000, 100) == first
+    for _, _, spec in cases:
+        assert spec.hiding_probs == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    inst_seed=st.integers(0, 10**6),
+    kind=st.sampled_from(("IP", "PP", "PB", "CSIP", "RSPP", "SPB")),
+    markup=st.sampled_from((ZERO, Q(1, 3), Q(1), Q(2))),
+    permit=st.sampled_from((ZERO, Q(1, 2), Q(2, 7), Q(5, 2))),
+    coin=st.sampled_from((Q(1), HALF, Q(1, 3))),
+    sub=st.sampled_from((None, "unit_demand", "one_pair")),
+    samples=st.integers(1, 300),
+    mc_seed=st.integers(0, 2**32),
+)
+def test_sampler_matches_reference_on_random_specs(
+    inst_seed, kind, markup, permit, coin, sub, samples, mc_seed
+):
+    n = 1 if kind in ("IP", "PP", "PB") else 2
+    inst = random_instance(
+        inst_seed, n_min=n, n_max=n, m_max=2, max_support=2, max_atoms=2
+    )
+    cells = [
+        (i, j, c) for i in range(n) for j in range(inst.m) for c in range(len(inst.costs))
+    ]
+    prices = {(i, j, c): inst.costs.vector(c)[j] + markup for i, j, c in cells}
+    families = {
+        None: None,
+        "unit_demand": UnitDemandPairs(AuctionFeasibility(inst)),
+        # what a later buyer may buy depends on the pairs sold before
+        "one_pair": ExplicitPairFamily(n, inst.m, [0] + [1 << e for e in range(n * inst.m)]),
+    }
+    spec = MechanismSpec(
+        kind,
+        prices,
+        tie_allow={cell: coin for cell in cells},
+        permit_prices={(i, j): permit for i in range(n) for j in range(inst.m)},
+        bundle_prices={i: permit for i in range(n)},
+        sub_constraint=(
+            {c: families[sub] for c in range(len(inst.costs))}
+            if kind == "CSIP" and sub is not None
+            else None
+        ),
+        hiding_probs={cell: coin for cell in cells} if kind == "RSPP" else {},
+    )
+    assert _sampled(inst, spec, samples, mc_seed) == _reference_mc(
+        inst, spec, samples, mc_seed
+    )

@@ -62,18 +62,31 @@ def test_check_functions_run_standalone():
     assert rep.values["opt_profit"] >= rep.values["spb"]
 
 
-def test_failure_replay(tmp_path):
-    # an instance that trips the LP size guard aborts and serializes for replay
+def test_failure_replay(tmp_path, monkeypatch):
+    # an instance that trips the LP size guard aborts the run and is saved;
+    # the saved file reloads to the same instance and replays the error
     import pytest
 
-    from permitlab.suites import _worker
-    from permitlab.generator import random_instance
-    from permitlab.serialize import instance_to_dict
+    from permitlab import lp, suites
 
-    inst = random_instance(77, n_max=1, m_max=1, name="replay-me")
-    payload = instance_to_dict(inst)
-    out = _worker(("nonsense-check", payload, {}))
-    assert "error" in out
+    def tight_guard(instance):
+        return lp.solve_profit_lp(instance, guard=1)
+
+    monkeypatch.setattr(suites, "solve_profit_lp", tight_guard)
+    out = tmp_path / "r"
+    with pytest.raises(RuntimeError, match="exceeds guard 1"):
+        run_suite("single_item", seed=9, count=2, workers=1, out_dir=str(out))
+    saved = sorted(out.glob("failing-*.json"))
+    assert [p.name for p in saved] == ["failing-single_item-0000.json"]
+    payload = json.loads(saved[0].read_text())
+    assert payload == build_corpus("single_item", seed=9, count=1)[0][1]
+
+    replay = suites._worker(("single_item", payload, {}))
+    assert replay["instance_id"] == "single_item-0000"
+    assert "exceeds guard 1" in replay["error"]
+    monkeypatch.undo()  # at the default guard the saved instance checks clean
+    replay = suites._worker(("single_item", payload, {}))
+    assert "error" not in replay and not replay["failed"]
 
 
 def test_mc_reproducible_fails_when_reruns_differ(canonical, monkeypatch):
