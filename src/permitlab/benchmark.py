@@ -122,6 +122,14 @@ def surplus_tables(instance: Instance, beta):
     ]
 
 
+def willingness(instance: Instance, tables, i: int, j: int, a) -> Q:
+    """Pr[surplus_ij >= a] under the single-permit surplus tables."""
+    d = instance.dists[i][j]
+    return sum(
+        (p for t, p in zip(d.support, d.probs) if tables[i][j][t] >= a), ZERO
+    )
+
+
 def build_flow(instance: Instance, beta: Thresholds) -> FlowSpec:
     tables = surplus_tables(instance, beta)
     labels = {}
@@ -279,19 +287,11 @@ def tail_prices(instance: Instance, beta: Thresholds, ct: CoreTail) -> TailPrice
     xi, r = {}, {}
     for i in range(instance.n):
         for j in range(instance.m):
-            d = instance.dists[i][j]
             best_a, best_r = None, ZERO
             for a in sorted(set(tables[i][j].values())):
                 if a < ct.tau[i] or a == 0:
                     continue
-                rev = a * sum(
-                    (
-                        p
-                        for t, p in zip(d.support, d.probs)
-                        if tables[i][j][t] >= a
-                    ),
-                    ZERO,
-                )
+                rev = a * willingness(instance, tables, i, j, a)
                 if rev > best_r:
                     best_a, best_r = a, rev
             xi[(i, j)] = best_a
@@ -313,36 +313,31 @@ def rspp_tail_thresholds(instance: Instance, beta: Thresholds, ct: CoreTail):
     tables = surplus_tables(instance, beta)
     base = tail_prices(instance, beta, ct)
 
-    def willing(i, j, a):
-        d = instance.dists[i][j]
+    def total(i, cand):
         return sum(
-            (p for t, p in zip(d.support, d.probs) if tables[i][j][t] >= a),
+            (
+                willingness(instance, tables, i, j, a)
+                for j, a in cand.items()
+                if a is not None
+            ),
             ZERO,
         )
 
     xi = {}
     for i in range(instance.n):
         cand = {j: base.xi[(i, j)] for j in range(instance.m)}
-        tot = sum(
-            (willing(i, j, a) for j, a in cand.items() if a is not None), ZERO
-        )
-        if tot > HALF:
+        if total(i, cand) > HALF:
             cand = {}
             for j in range(instance.m):
-                d = instance.dists[i][j]
                 best_a, best_r = None, ZERO
                 for a in sorted(set(tables[i][j].values())):
                     if a <= ct.tau[i]:
                         continue
-                    rev = a * willing(i, j, a)
+                    rev = a * willingness(instance, tables, i, j, a)
                     if rev > best_r:
                         best_a, best_r = a, rev
                 cand[j] = best_a
-            tot = sum(
-                (willing(i, j, a) for j, a in cand.items() if a is not None),
-                ZERO,
-            )
-            if tot > HALF:
+            if total(i, cand) > HALF:
                 raise AssertionError("strict-tail thresholds violate the sum bound")
         for j in range(instance.m):
             xi[(i, j)] = cand[j]

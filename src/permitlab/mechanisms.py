@@ -4,7 +4,9 @@ Six kinds: IP (item pricing, one buyer), PP (permit pricing, one buyer),
 PB (permit bundling, one buyer), and the sequential multi-buyer variants
 CSIP / RSPP / SPB. One exact evaluator drives all of them: it tracks the
 distribution over sold buyer-item pairs cost atom by cost atom, enumerates
-hiding and rationing coins exactly, and lets each buyer best-respond.
+hiding and rationing coins exactly, and lets each buyer best-respond. Its
+second stage is one step per (buyer, cost atom), which the item-pricing
+searches reuse, and one eligibility rule, which Monte-Carlo reuses.
 
 Buyers buy on ties (zero-surplus purchases happen, larger bundles win ties);
 rationing at a price boundary is a seller-side coin granting eligibility
@@ -18,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, product
 
-from .benchmark import ExAnte, surplus_tables
+from .benchmark import ExAnte, surplus_tables, willingness
 from .model import Instance, vbar
 from .rational import Q, ZERO, ONE, HALF
 
@@ -73,7 +75,6 @@ class EvalResult:
     atom_profit: tuple = ()  # conditional profit per cost atom
     permit_buy_prob: dict = field(default_factory=dict)  # (i, j) -> Q
     bundle_pay_prob: dict = field(default_factory=dict)  # i -> Q
-    serve_prob: dict = field(default_factory=dict)  # (i, j, c_idx) -> conditional Q
     stage1: dict = field(default_factory=dict)  # i -> ((permit mask, payment) per type)
     keep_probs: dict = field(default_factory=dict)  # (i, j, c_idx) -> keep prob used
     lower_bound_only: bool = False
@@ -88,13 +89,6 @@ class AvailabilityModel:
     states: list  # per c_idx: dict avail_item_mask -> Q
     keep: list  # per c_idx: list of keep probabilities per item
 
-    def usable_prob(self, j: int, c_idx: int) -> Q:
-        p = sum(
-            (pr for mask, pr in self.states[c_idx].items() if (mask >> j) & 1),
-            ZERO,
-        )
-        return p * self.keep[c_idx][j]
-
 
 def _item_bits(n: int, m: int, j: int) -> int:
     out = 0
@@ -107,8 +101,9 @@ def _pairs_mask(i: int, m: int, item_mask: int) -> int:
     return item_mask << (i * m)
 
 
-def _coin_split(candidates):
-    """candidates: list of (j, prob usable). Yields (usable_mask, weight)."""
+def _coin_split(candidates, weight):
+    """candidates: list of (j, prob usable). Yields (usable_mask, weight times
+    the mask's probability)."""
     certain = 0
     rand = []
     for j, u in candidates:
@@ -118,7 +113,7 @@ def _coin_split(candidates):
             rand.append((j, u))
     for bits in range(1 << len(rand)):
         mask = certain
-        w = ONE
+        w = weight
         for k, (j, u) in enumerate(rand):
             if (bits >> k) & 1:
                 mask |= 1 << j
@@ -171,11 +166,8 @@ def _expected_utility(instance, i, t_i, permit_mask, avail: AvailabilityModel, p
         weights = tuple(t_i[j] - prices[j] for j in range(instance.m))
         for amask, p_state in avail.states[c_idx].items():
             cands = [(j, keep[j]) for j in pos if (amask >> j) & 1]
-            for umask, w in _coin_split(cands):
-                if w == 0:
-                    continue
-                u = instance.families[i].max_weight_value(weights, umask)
-                total += pc * p_state * w * u
+            for umask, w in _coin_split(cands, pc * p_state):
+                total += w * instance.families[i].max_weight_value(weights, umask)
     return total
 
 
@@ -223,6 +215,55 @@ def best_response_permits(instance, i, t_i, spec: MechanismSpec, avail: Availabi
     return best[1], best[2]
 
 
+def _eligible(t_i, permits, prices, allow, keep):
+    """(j, keep_j, elig_j) per permitted item the buyer may receive: items
+    priced below the value always, items priced at it with the tie coin's
+    probability; items that could never be received are left out."""
+    out = []
+    for j, p in enumerate(prices):
+        if not (permits >> j) & 1:
+            continue
+        if t_i[j] > p:
+            elig = ONE
+        elif t_i[j] == p:
+            elig = allow[j]
+        else:
+            continue
+        if keep[j] and elig:
+            out.append((j, keep[j], elig))
+    return tuple(out)
+
+
+def _second_stage(instance, i, decisions, prices, cvec, allow, keep, sub_fam, states):
+    """One buyer's second stage under one cost atom: each type, with its
+    stage-1 (permit mask, payment), sees the unsold items of every state,
+    receives the eligible ones after the hiding and tie coins, and buys a best
+    bundle. Returns the next distribution over sold pairs and the atom's
+    expected revenue (stage-1 payments included) and cost."""
+    n, m = instance.n, instance.m
+    item_bits = [_item_bits(n, m, j) for j in range(m)]
+    fprobs = instance.buyer_type_probs(i)
+    nxt = {}
+    bought = {}  # bundle -> probability
+    for t_i, f, (permits, _) in zip(instance.buyer_types(i), fprobs, decisions):
+        elig = [(j, k * e) for j, k, e in _eligible(t_i, permits, prices, allow, keep)]
+        for mask, p_state in states.items():
+            cands = [(j, u) for j, u in elig if not mask & item_bits[j]]
+            for umask, w in _coin_split(cands, f * p_state):
+                bundle, _ = _choose_bundle(instance, i, t_i, prices, umask, mask, sub_fam)
+                bought[bundle] = bought.get(bundle, ZERO) + w
+                nmask = mask | _pairs_mask(i, m, bundle)
+                nxt[nmask] = nxt.get(nmask, ZERO) + w
+    rev = sum((f * pay for f, (_, pay) in zip(fprobs, decisions) if pay), ZERO)
+    cost = ZERO
+    for bundle, w in bought.items():
+        items = [j for j in range(m) if (bundle >> j) & 1]
+        if items:
+            rev += w * sum((prices[j] for j in items), ZERO)
+            cost += w * sum((cvec[j] for j in items), ZERO)
+    return nxt, rev, cost
+
+
 def evaluate(
     instance: Instance, spec: MechanismSpec, guard: int = 1_000_000
 ) -> EvalResult:
@@ -240,7 +281,6 @@ def evaluate(
     atom_profit = [ZERO] * n_atoms
     permit_buy = {}
     bundle_pay = {}
-    serve = {}
     stage1 = {}
     keep_probs = {}
 
@@ -275,17 +315,11 @@ def evaluate(
                 keep_probs[(i, j, c_idx)] = row[j]
         avail = AvailabilityModel(instance, avail_states, keep_rows)
 
-        types = instance.buyer_types(i)
-        fprobs = instance.buyer_type_probs(i)
-        prices_by_atom = [
-            tuple(spec.price(i, j, c) for j in range(m)) for c in range(n_atoms)
-        ]
-        next_states = [dict() for _ in range(n_atoms)]
-        decisions = []
-        for ti_idx, t_i in enumerate(types):
-            f = fprobs[ti_idx]
-            permits, stage1_pay = best_response_permits(instance, i, t_i, spec, avail)
-            decisions.append((permits, stage1_pay))
+        decisions = tuple(
+            best_response_permits(instance, i, t_i, spec, avail)
+            for t_i in instance.buyer_types(i)
+        )
+        for f, (permits, _) in zip(instance.buyer_type_probs(i), decisions):
             if spec.kind == "RSPP" and permits:
                 j = permits.bit_length() - 1
                 permit_buy[(i, j)] = permit_buy.get((i, j), ZERO) + f
@@ -297,59 +331,22 @@ def evaluate(
                     t &= t - 1
             if spec.kind in ("PB", "SPB") and permits:
                 bundle_pay[i] = bundle_pay.get(i, ZERO) + f
-            revenue[i] += f * stage1_pay
-            for c_idx in range(n_atoms):
-                atom_profit[c_idx] += f * stage1_pay
-            for c_idx, (cvec, pc) in enumerate(instance.costs.atoms):
-                prices = prices_by_atom[c_idx]
-                keep = keep_rows[c_idx]
-                sub_fam = (
-                    spec.sub_constraint.get(c_idx)
-                    if spec.sub_constraint is not None
-                    else None
-                )
-                for mask, p_state in states[c_idx].items():
-                    cands = []
-                    for j in range(m):
-                        if not ((permits >> j) & 1) or (mask & item_bits[j]):
-                            continue
-                        if t_i[j] > prices[j]:
-                            elig = ONE
-                        elif t_i[j] == prices[j]:
-                            elig = spec.allow(i, j, c_idx)
-                        else:
-                            continue
-                        u = keep[j] * elig
-                        if u > 0:
-                            cands.append((j, u))
-                    for umask, w in _coin_split(cands):
-                        if w == 0:
-                            continue
-                        bundle, _ = _choose_bundle(
-                            instance, i, t_i, prices, umask, mask, sub_fam
-                        )
-                        wgt = f * p_state * w
-                        if bundle:
-                            pay = ZERO
-                            cc = ZERO
-                            t = bundle
-                            while t:
-                                j = (t & -t).bit_length() - 1
-                                pay += prices[j]
-                                cc += cvec[j]
-                                serve[(i, j, c_idx)] = (
-                                    serve.get((i, j, c_idx), ZERO) + wgt
-                                )
-                                t &= t - 1
-                            revenue[i] += pc * wgt * pay
-                            cost[i] += pc * wgt * cc
-                            atom_profit[c_idx] += wgt * (pay - cc)
-                        nmask = mask | _pairs_mask(i, m, bundle)
-                        next_states[c_idx][nmask] = (
-                            next_states[c_idx].get(nmask, ZERO) + wgt
-                        )
-        states = next_states
-        stage1[i] = tuple(decisions)
+        for c_idx, (cvec, pc) in enumerate(instance.costs.atoms):
+            states[c_idx], rev, cc = _second_stage(
+                instance,
+                i,
+                decisions,
+                tuple(spec.price(i, j, c_idx) for j in range(m)),
+                cvec,
+                tuple(spec.allow(i, j, c_idx) for j in range(m)),
+                keep_rows[c_idx],
+                spec.sub_constraint.get(c_idx) if spec.sub_constraint is not None else None,
+                states[c_idx],
+            )
+            revenue[i] += pc * rev
+            cost[i] += pc * cc
+            atom_profit[c_idx] += rev - cc
+        stage1[i] = decisions
 
     profit = sum(revenue, ZERO) - sum(cost, ZERO)
     check = sum(
@@ -364,7 +361,6 @@ def evaluate(
         atom_profit=tuple(atom_profit),
         permit_buy_prob=permit_buy,
         bundle_pay_prob=bundle_pay,
-        serve_prob=serve,
         stage1=stage1,
         keep_probs=keep_probs,
     )
@@ -397,26 +393,24 @@ def monte_carlo_eval(
     # usable probability) per eligible item in coin-draw order
     plans = {}
     for i in order:
+        rows = [  # per atom: prices, tie coins and keep probabilities
+            (
+                tuple(spec.price(i, j, c_idx) for j in range(m)),
+                tuple(spec.allow(i, j, c_idx) for j in range(m)),
+                tuple(exact.keep_probs[(i, j, c_idx)] for j in range(m)),
+            )
+            for c_idx in range(n_atoms)
+        ]
         plans[i] = []
         for t_idx, t_i in enumerate(instance.buyer_types(i)):
             permits, pay = exact.stage1[i][t_idx]
             per_atom = []
-            for c_idx in range(n_atoms):
-                coins = []
-                for j in range(m):
-                    if not (permits >> j) & 1:
-                        continue
-                    p = spec.price(i, j, c_idx)
-                    if t_i[j] > p:
-                        elig = 1.0
-                    elif t_i[j] == p:
-                        elig = float(spec.allow(i, j, c_idx))
-                    else:
-                        continue
-                    u = float(exact.keep_probs[(i, j, c_idx)]) * elig
-                    if u > 0:
-                        coins.append((j, _item_bits(n, m, j), u))
-                per_atom.append((float(pay), tuple(coins)))
+            for prices, allow, keep in rows:
+                elig = _eligible(t_i, permits, prices, allow, keep)
+                coins = tuple(
+                    (j, _item_bits(n, m, j), float(k) * float(e)) for j, k, e in elig
+                )
+                per_atom.append((float(pay), coins))
             plans[i].append(per_atom)
 
     outcomes = {}  # (i, t, c, usable, sold) -> (pairs bought, float gains)
@@ -480,38 +474,36 @@ def _sampled_outcome(instance, spec, key):
 # -- Constructions from the approximation proofs -------------------------------
 
 
-def _csip_profit_under_atom(instance, prices, c_idx, sub_fam, order):
-    """Exact conditional profit of item pricing under one cost atom."""
-    n, m = instance.n, instance.m
-    item_bits = [_item_bits(n, m, j) for j in range(m)]
+def _ip_atom_profit(instance, prices, c_idx, sub_fam):
+    """Exact conditional profit of item prices (one row per buyer) under one
+    cost atom: the shared second stage with every item permitted, no stage-1
+    payment and no hiding or tie coins, where eligibility is t_ij >= price."""
+    m = instance.m
     cvec = instance.costs.vector(c_idx)
+    ones = (ONE,) * m
     states = {0: ONE}
     profit = ZERO
-    for i in order:
-        nxt = {}
-        types = instance.buyer_types(i)
-        fprobs = instance.buyer_type_probs(i)
-        for ti_idx, t_i in enumerate(types):
-            f = fprobs[ti_idx]
-            row = prices[i]
-            for mask, p_state in states.items():
-                usable = 0
-                for j in range(m):
-                    if mask & item_bits[j]:
-                        continue
-                    if t_i[j] >= row[j]:
-                        usable |= 1 << j
-                bundle, _ = _choose_bundle(instance, i, t_i, row, usable, mask, sub_fam)
-                w = f * p_state
-                t = bundle
-                while t:
-                    j = (t & -t).bit_length() - 1
-                    profit += w * (row[j] - cvec[j])
-                    t &= t - 1
-                nmask = mask | _pairs_mask(i, m, bundle)
-                nxt[nmask] = nxt.get(nmask, ZERO) + w
-        states = nxt
+    for i in range(instance.n):
+        decisions = ((instance.full_mask(), ZERO),) * len(instance.buyer_types(i))
+        states, rev, cost = _second_stage(
+            instance, i, decisions, prices[i], cvec, ones, ones, sub_fam, states
+        )
+        profit += rev - cost
     return profit
+
+
+def _monopoly_price(dist, c_j):
+    """Support price maximizing (p - c_j) Pr[t >= p] over p >= c_j, the
+    highest such price on ties; the never-sell price support[-1] + 1 when no
+    price makes a profit."""
+    best_p, best_rev = dist.support[-1] + 1, ZERO
+    for p in dist.support:
+        if p < c_j:
+            continue
+        rev = (p - c_j) * dist.pr_geq(p)
+        if rev >= best_rev and rev > 0:
+            best_p, best_rev = p, rev
+    return best_p
 
 
 def construct_csip_from_copies(instance: Instance, markup_rule: str = "auto"):
@@ -536,15 +528,7 @@ def construct_csip_from_copies(instance: Instance, markup_rule: str = "auto"):
     if additive and markup_rule in ("auto", "monopoly"):
         for c_idx, (cvec, _) in enumerate(instance.costs.atoms):
             for j in range(m):
-                d = instance.dists[0][j]
-                best_p, best_rev = d.support[-1] + 1, ZERO  # unsold fallback
-                for p in d.support:
-                    if p < cvec[j]:
-                        continue
-                    rev = (p - cvec[j]) * d.pr_geq(p)
-                    if rev >= best_rev and rev > 0:
-                        best_p, best_rev = p, rev
-                prices[(0, j, c_idx)] = best_p
+                prices[(0, j, c_idx)] = _monopoly_price(instance.dists[0][j], cvec[j])
         return MechanismSpec("IP", prices, order=order, note="per-item monopoly markup")
 
     sub = None
@@ -582,24 +566,15 @@ def construct_csip_from_copies(instance: Instance, markup_rule: str = "auto"):
                 vec.append(tuple(row))
             candidates.append(tuple(vec))
         # per-item monopoly vector as a further candidate
-        vec = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                d = instance.dists[i][j]
-                best_p, best_rev = d.support[-1] + 1, ZERO
-                for p in d.support:
-                    if p < cvec[j]:
-                        continue
-                    rev = (p - cvec[j]) * d.pr_geq(p)
-                    if rev >= best_rev and rev > 0:
-                        best_p, best_rev = p, rev
-                row.append(best_p)
-            vec.append(tuple(row))
-        candidates.append(tuple(vec))
+        candidates.append(
+            tuple(
+                tuple(_monopoly_price(instance.dists[i][j], cvec[j]) for j in range(m))
+                for i in range(n)
+            )
+        )
         best_vec, best_profit = None, None
         for vec in candidates:
-            pf = _csip_profit_under_atom(instance, vec, c_idx, sub_fam, order)
+            pf = _ip_atom_profit(instance, vec, c_idx, sub_fam)
             if best_profit is None or pf > best_profit:
                 best_vec, best_profit = vec, pf
         for i in range(n):
@@ -630,14 +605,8 @@ def construct_rspp_tail(instance: Instance, exa: ExAnte, xi: dict) -> MechanismS
     for i in range(instance.n):
         tot = ZERO
         for j in range(instance.m):
-            a = xi.get((i, j))
-            if a is None:
-                continue
-            d = instance.dists[i][j]
-            tot += sum(
-                (p for t, p in zip(d.support, d.probs) if tables[i][j][t] >= a),
-                ZERO,
-            )
+            if xi.get((i, j)) is not None:
+                tot += willingness(instance, tables, i, j, xi[(i, j)])
         if tot > HALF:
             raise ConstructionError(
                 f"buyer {i} willingness sum {tot} exceeds 1/2 for the tail prices"
@@ -900,7 +869,7 @@ def search_best(instance: Instance, kind: str, grid=None, guard: int = 1_000_000
             jgrids = [grid[(j, c_idx)] for j in range(m)]
             best_vec, best_profit = None, None
             for combo in product(*jgrids):
-                pf = _csip_profit_under_atom(instance, (combo,), c_idx, None, (0,))
+                pf = _ip_atom_profit(instance, (combo,), c_idx, None)
                 if best_profit is None or pf > best_profit:
                     best_vec, best_profit = combo, pf
             for j in range(m):
@@ -915,17 +884,9 @@ def search_best(instance: Instance, kind: str, grid=None, guard: int = 1_000_000
         permit = {}
         tables = surplus_tables(instance, None)
         for j in range(m):
-            d = instance.dists[0][j]
             best_l, best_r = ZERO, ZERO
             for l in grid[j]:
-                r = l * sum(
-                    (
-                        p
-                        for t, p in zip(d.support, d.probs)
-                        if tables[0][j][t] >= l
-                    ),
-                    ZERO,
-                )
+                r = l * willingness(instance, tables, 0, j, l)
                 if r > best_r:
                     best_l, best_r = l, r
             permit[(0, j)] = best_l

@@ -49,14 +49,6 @@ def _downward_closed(ground: int, fam) -> bool:
     return True
 
 
-class _MaskFamily:
-    def __init__(self, members):
-        self._set = frozenset(members)
-
-    def contains(self, mask):
-        return mask in self._set
-
-
 class _TruncatedFamily:
     def __init__(self, base, limit):
         self.base = base

@@ -3,7 +3,10 @@ posted-price families, the equal-revenue hard instance, and a from-scratch
 recomputation of the benchmark sums for cross-validation.
 
 Nothing here shares evaluation code with the benchmark module; where the same
-quantity is computed twice, the algorithms differ on purpose.
+quantity is computed twice, the algorithms differ on purpose. The item-pricing
+grid scores each price vector with its own per-type argmax bundle and shares
+no code with the mechanisms module; the permit-pricing grid still scores with
+its evaluator.
 """
 
 from __future__ import annotations
@@ -11,12 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .mechanisms import (
-    MechanismSpec,
-    _csip_profit_under_atom,
-    _cost_price_table,
-    evaluate,
-)
+from .mechanisms import MechanismSpec, _cost_price_table, evaluate
 from .model import CostModel, DiscreteDist, Instance, UniformMatroid, vbar
 from .rational import Q, ZERO, ONE
 
@@ -90,10 +88,10 @@ def brute_posted_price_opt(
         if total_candidates > guard:
             raise ValueError(f"IP oracle grid {total_candidates} exceeds guard {guard}")
         total = ZERO
-        for c_idx, (_, pc) in enumerate(instance.costs.atoms):
+        for (cvec, pc), per_item in zip(instance.costs.atoms, grids):
             best = None
-            for combo in product(*grids[c_idx]):
-                pf = _csip_profit_under_atom(instance, (combo,), c_idx, None, (0,))
+            for combo in product(*per_item):
+                pf = _ip_profit_under_atom(instance, combo, cvec)
                 if best is None or pf > best:
                     best = pf
             total += pc * best
@@ -179,6 +177,27 @@ def brute_posted_price_opt(
         return OracleResult("PB-Profit", best, count, "bundle value grid")
 
     raise ValueError(f"unknown family kind {kind}")
+
+
+def _ip_profit_under_atom(instance: Instance, prices, cvec) -> Q:
+    """Conditional profit of one buyer facing item prices under one cost
+    vector. Each type buys, among the family's members (the empty set among
+    them) whose every item has value at least its price, the one with the
+    highest surplus, then the larger bundle, then the smaller mask."""
+    m = instance.m
+    total = ZERO
+    for t_i, f in zip(instance.buyer_types(0), instance.buyer_type_probs(0)):
+        gain = {j: t_i[j] - prices[j] for j in range(m) if t_i[j] >= prices[j]}
+        best = None
+        for s in instance.families[0].members():
+            items = [j for j in range(m) if (s >> j) & 1]
+            if not all(j in gain for j in items):
+                continue
+            key = (sum((gain[j] for j in items), ZERO), len(items), -s)
+            if best is None or key > best[0]:
+                best = (key, items)
+        total += f * sum((prices[j] - cvec[j] for j in best[1]), ZERO)
+    return total
 
 
 def _lift(instance: Instance, j: int, t):

@@ -23,6 +23,7 @@ from .benchmark import (
     rspp_tail_thresholds,
     surplus_tables,
     tail_prices,
+    willingness,
 )
 from .generator import random_instance
 from .lp import solve_profit_lp, verify_virtual_bound
@@ -475,13 +476,7 @@ def check_multi(instance: Instance) -> InstanceReport:
 
     def willing(i, j):
         a = xi[(i, j)]
-        if a is None:
-            return ZERO
-        d = instance.dists[i][j]
-        return sum(
-            (p for t, p in zip(d.support, d.probs) if tables[i][j][t] >= a),
-            ZERO,
-        )
+        return ZERO if a is None else willingness(instance, tables, i, j, a)
 
     tail_spec = construct_rspp_tail(instance, exa, xi)
     tail_res = evaluate(instance, tail_spec)

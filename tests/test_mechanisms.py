@@ -349,6 +349,48 @@ def test_no_profitable_stage_one_deviation():
             assert dev <= own
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    inst_seed=st.integers(0, 10**6),
+    n=st.sampled_from((1, 2)),
+    picks=st.lists(st.integers(0, 3), min_size=8, max_size=8),
+    unit_demand=st.booleans(),
+)
+def test_item_pricing_view_matches_evaluate_and_oracle(inst_seed, n, picks, unit_demand):
+    # prices sit on support values, so zero-surplus ties are common, or at the
+    # never-sell price; the item-pricing view of the shared second stage
+    # must give evaluate's conditional profit per atom, and on one buyer so
+    # must the oracle's own argmax scorer
+    from permitlab.mechanisms import _ip_atom_profit
+    from permitlab.oracles import _ip_profit_under_atom
+
+    inst = random_instance(
+        inst_seed, n_min=n, n_max=n, m_max=2, max_support=3, max_atoms=2
+    )
+    m, n_atoms = inst.m, len(inst.costs)
+    picks = iter(picks)
+    prices = {}
+    for i in range(n):
+        for j in range(m):
+            support = inst.dists[i][j].support
+            grid = support + (support[-1] + 1,)
+            for c in range(n_atoms):
+                prices[(i, j, c)] = grid[next(picks) % len(grid)]
+    sub = None
+    if unit_demand:
+        ud = UnitDemandPairs(AuctionFeasibility(inst))
+        sub = {c: ud for c in range(n_atoms)}
+    spec = MechanismSpec("IP" if n == 1 else "CSIP", prices, sub_constraint=sub)
+    res = evaluate(inst, spec)
+    for c in range(n_atoms):
+        vec = tuple(tuple(prices[(i, j, c)] for j in range(m)) for i in range(n))
+        sub_fam = sub[c] if sub else None
+        assert _ip_atom_profit(inst, vec, c, sub_fam) == res.atom_profit[c]
+        if n == 1 and sub is None:
+            got = _ip_profit_under_atom(inst, vec[0], inst.costs.vector(c))
+            assert got == res.atom_profit[c]
+
+
 # -- Monte-Carlo: the memoized sampler against the plain per-sample loop ------
 
 

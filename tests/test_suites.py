@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 from permitlab.rational import Q
 from permitlab.suites import (
@@ -102,3 +105,17 @@ def test_mc_reproducible_fails_when_reruns_differ(canonical, monkeypatch):
     monkeypatch.setattr(suites, "monte_carlo_eval", drifting)
     rep = suites.check_monte_carlo(canonical, seed=3)
     assert "mc_reproducible" in [name for name, _ in rep.failed]
+
+
+def test_benchmark_trace_layers_resolve():
+    # the benchmark's tracer wraps these names in place; a deleted or renamed
+    # one would break a traced run (perfbench/run.py --trace 1) only when run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sites = [site for _, layer_sites, _ in tracing.LAYERS for site in layer_sites]
+    assert sites
+    for mod_name, attr in sites:
+        mod = importlib.import_module(f"permitlab.{mod_name}")
+        assert callable(getattr(mod, attr, None)), f"permitlab.{mod_name}.{attr}"
