@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from .generator import random_instance
 from .lp import build_profit_lp, dump_lp_text, solve_lp
@@ -52,6 +53,7 @@ def cmd_run(args) -> int:
     suites = ALL_SUITES if args.suite == "all" else (args.suite,)
     ok = True
     for suite in suites:
+        t0 = time.perf_counter()
         summary = run_suite(
             suite,
             seed=args.seed,
@@ -61,7 +63,8 @@ def cmd_run(args) -> int:
         )
         status = "pass" if summary["all_passed"] else "FAIL"
         print(
-            f"[{status}] {suite}: {summary['passed_instances']}/{summary['instances']} instances clean"
+            f"[{status}] {suite}: {summary['passed_instances']}/{summary['instances']} "
+            f"instances clean ({time.perf_counter() - t0:.1f} s)"
         )
         for f in summary["failures"][:10]:
             print(f"    {f['instance']}: {f['checks']}")

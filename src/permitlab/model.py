@@ -370,9 +370,6 @@ class Instance:
                 p *= probs[i][ti]
             yield combo, p
 
-    def pair_bit(self, i: int, j: int) -> int:
-        return i * self.m + j
-
     def full_mask(self) -> int:
         return (1 << self.m) - 1
 

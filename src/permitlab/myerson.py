@@ -18,9 +18,6 @@ class VirtualValueTable:
     raw: tuple
     ironed: tuple
 
-    def raw_at(self, v) -> Q:
-        return self.raw[self.dist.support.index(v)]
-
     def ironed_at(self, v) -> Q:
         return self.ironed[self.dist.support.index(v)]
 

@@ -1,21 +1,37 @@
 """Greedy online contention resolution for the auction's pair constraint.
 
-The joint constraint is the intersection of an item-capacity partition
-matroid (each item to at most one buyer) and the direct sum of the buyers'
-feasibility matroids. Plain greedy is (b, 1-b)-selectable on uniform and
-partition matroids; explicit matroids fall back to a searched cardinality
-truncation with an exactly measured constant; intersections multiply the
-constants. Everything here is verified by exact enumeration at desk scale.
+The joint constraint is the intersection of two matroids over buyer-item
+pairs: the item-capacity partition matroid (each item to at most one buyer)
+and the direct sum of the buyers' feasibility matroids. Plain greedy is
+(b, 1-b)-selectable on a direct sum of uniform matroids, that is a partition
+matroid. Uniform and partition families are one by construction; any other
+matroid is recognised as one by brute force over the set partitions of its
+ground set, or refused. Intersections multiply the constants.
+
+Membership of an activity vector in b * conv(F) follows Edmonds' matroid
+intersection theorem (1970): conv(I1 & I2) = P(M1) & P(M2), so y is inside
+exactly when y >= 0 and y(S) <= b * r_k(S) for each matroid factor M_k and
+each set S. ``oracles.in_scaled_polytope_by_decomposition`` answers the same
+question by Caratheodory enumeration and is the tests' independent
+cross-check. Selectability and greedy replays are exact enumerations at desk
+scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .benchmark import ExAnte
 from .mechanisms import ConstructionError, MechanismSpec
-from .model import AuctionFeasibility, Instance, popcount
+from .model import (
+    AuctionFeasibility,
+    FeasibilityFamily,
+    Instance,
+    PartitionMatroid,
+    UniformMatroid,
+    popcount,
+)
 from .rational import Q, ZERO, ONE, HALF
 
 
@@ -25,7 +41,7 @@ class GreedyOCRS:
     family to a downward-closed subfamily and selects greedily inside it."""
 
     ground: int  # number of elements
-    base: object  # object with .contains(mask) over element bitmasks
+    base: object  # family over element bitmasks; membership reads its matroid factors
     rule: object  # callable y -> subfamily object with .contains(mask)
     b: Q
     constant: Q  # certified selectability constant at this b
@@ -49,15 +65,6 @@ def _downward_closed(ground: int, fam) -> bool:
     return True
 
 
-class _TruncatedFamily:
-    def __init__(self, base, limit):
-        self.base = base
-        self.limit = limit
-
-    def contains(self, mask):
-        return popcount(mask) <= self.limit and self.base.contains(mask)
-
-
 @dataclass(eq=False)
 class SelectabilityReport:
     per_element: dict  # element -> exact probability of the universal event
@@ -66,14 +73,14 @@ class SelectabilityReport:
     exact: bool = True
 
 
-def selectability(ocrs: GreedyOCRS, y, check_membership: bool = True) -> SelectabilityReport:
+def selectability(ocrs: GreedyOCRS, y) -> SelectabilityReport:
     """Exact per-element selectability at activity vector y, by enumeration of
     all activity patterns and the universal quantifier over feasible subsets."""
     ground = ocrs.ground
     if ground > 12:
         raise ValueError("exact selectability enumeration is limited to 12 elements")
     y = tuple(Q(v) for v in y)
-    if check_membership and not in_scaled_polytope(ocrs.base, ground, y, ocrs.b):
+    if not in_scaled_polytope(ocrs.base, ground, y, ocrs.b):
         raise ValueError("activity vector lies outside the scaled polytope")
     sub = ocrs.subfamily(y)
     sub_members = [a for a in range(1 << ground) if sub.contains(a)]
@@ -133,132 +140,138 @@ def greedy_replay_probabilities(ocrs: GreedyOCRS, y):
 
 
 def in_scaled_polytope(base, ground: int, y, b) -> bool:
-    """Test y in b * conv{indicators of members} by exhaustive exact convex
-    decomposition over member indicator vertices (no LP).
+    """Test y in b * conv{indicators of members of base} by the rank
+    inequalities of base's matroid factors: y >= 0 and y(S) <= b * r_k(S).
 
-    Caratheodory: membership implies a decomposition over affinely independent
-    vertices, whose coefficients solve a square-rank affine system uniquely;
-    enumerating support subsets of size at most ground+1 is therefore complete.
+    Exact for one matroid and, by Edmonds' intersection theorem, for two;
+    three or more factors, or a factor that is not a matroid, raise
+    ValueError.
     """
-    if b == 0:
-        return all(v == 0 for v in y)
-    target = tuple(Q(v) / Q(b) for v in y)
-    if any(v < 0 for v in target):
+    factors = _matroid_factors(base)
+    if len(factors) > 2:
+        raise ValueError(
+            f"rank inequalities decide membership for at most two matroids, not {len(factors)}"
+        )
+    blocks = [block for factor in factors for block in _blocks(factor, ground)]
+    y = tuple(Q(v) for v in y)
+    if any(v < 0 for v in y):
         return False
-    support = 0
-    for e in range(ground):
-        if target[e] > 0:
-            support |= 1 << e
-    members = [
-        a
-        for a in range(1 << ground)
-        if not (a & ~support) and base.contains(a)
-    ]
-    if ground > 8:
-        raise ValueError("decomposition search is limited to 8 elements")
-    dim = ground + 1  # affine coordinate appended
-    rhs = list(target) + [Q(1)]
-    cols = [[Q((a >> e) & 1) for e in range(ground)] + [Q(1)] for a in members]
-    for size in range(1, min(len(members), dim) + 1):
-        for idx in combinations(range(len(members)), size):
-            theta = _solve_unique([cols[k] for k in idx], rhs)
-            if theta is not None and all(t >= 0 for t in theta):
-                return True
-    return False
+    b = Q(b)
+    for positions, family in blocks:
+        sums = [ZERO]  # sums[S] = y(S) over the block's positions, S a local mask
+        for e in positions:
+            sums += [s + y[e] for s in sums]
+        for s, r in zip(sums, _rank_table(family, len(positions))):
+            if s > b * r:
+                return False
+    return True
 
 
-def _solve_unique(columns, rhs):
-    """Solve sum_k theta_k * columns[k] = rhs exactly. Returns the solution when
-    the columns have full rank and the system is consistent, else None."""
-    rows = len(rhs)
-    k = len(columns)
-    aug = [[columns[c][r] for c in range(k)] + [rhs[r]] for r in range(rows)]
-    piv_rows = []
-    r = 0
-    for c in range(k):
-        sel = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if sel is None:
-            return None  # rank-deficient; covered by a smaller support subset
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_rows.append(r)
-        r += 1
-    for i in range(r, rows):
-        if aug[i][k] != 0:
-            return None  # inconsistent
-    return [aug[i][k] for i in range(k)]
+def _matroid_factors(base) -> tuple:
+    """The families whose intersection is base: an auction constraint is the
+    item-capacity matroid and the buyers' direct sum; a composed base keeps
+    its factors; anything else is its own single factor."""
+    if isinstance(base, AuctionFeasibility):
+        return (_ItemCapacityPairs(base.n, base.m), _BuyerProductPairs(base.instance))
+    return getattr(base, "factors", (base,))
+
+
+def _blocks(factor, ground: int) -> tuple:
+    """A factor as a direct sum of matroids: (positions, family) pairs, where
+    family's local element k is ground element positions[k]."""
+    blocks = getattr(factor, "blocks", None)
+    if blocks is None:
+        if not isinstance(factor, FeasibilityFamily):
+            raise ValueError(f"{type(factor).__name__} has no known matroid factors")
+        blocks = ((tuple(range(ground)), factor),)
+    for _, family in blocks:
+        if not family.is_matroid:
+            raise ValueError(f"a {family.kind} factor is not a matroid")
+    return blocks
+
+
+def _rank_table(family, size: int) -> list:
+    """r(S) for every local mask S over size elements: |S| when S is a member,
+    else the largest rank of S minus one element."""
+    rank = [0] * (1 << size)
+    for s in range(1, 1 << size):
+        if family.contains(s):
+            rank[s] = popcount(s)
+            continue
+        t = s
+        while t:
+            low = t & -t
+            rank[s] = max(rank[s], rank[s ^ low])
+            t ^= low
+    return rank
 
 
 # -- Constructors ---------------------------------------------------------------
 
 
 def matroid_ocrs(family, b, ground: int = None) -> GreedyOCRS:
-    """Greedy OCRS for one matroid. Uniform and partition kinds use the family
-    itself (plain greedy), which is (b, 1-b)-selectable; explicit matroids get
-    a searched cardinality truncation with an exactly certified constant."""
+    """Plain greedy OCRS for one matroid, (b, 1-b)-selectable on a direct sum
+    of uniform matroids. Uniform and partition kinds are one by construction;
+    any other matroid must be recognised as one, or ConstructionError is
+    raised rather than an unproven constant claimed."""
     b = Q(b)
     if not 0 < b < 1:
         raise ValueError("b must lie strictly between 0 and 1")
     ground = ground if ground is not None else family.m
     kind = getattr(family, "kind", None)
-    if kind in ("uniform", "partition"):
-        return GreedyOCRS(
-            ground, family, lambda y: family, b, 1 - b, label=f"plain-{kind}"
-        )
-    if not getattr(family, "is_matroid", False):
-        raise ValueError("matroid_ocrs needs a matroid family")
-    rank = max(popcount(s) for s in family.members())
-    best = None
-    for limit in range(rank, 0, -1):
-        sub = _TruncatedFamily(family, limit)
-        worst = _probe_selectability(family, sub, ground, b)
-        if best is None or worst > best[1]:
-            best = (limit, worst)
-        if worst >= 1 - b:
-            break
-    limit, worst = best
+    if kind not in ("uniform", "partition"):
+        if not getattr(family, "is_matroid", False):
+            raise ValueError("matroid_ocrs needs a matroid family")
+        if not _is_partition_matroid(family):
+            raise ConstructionError(
+                f"{kind} matroid {family.describe()} is not a direct sum of uniform "
+                "matroids; plain greedy has no proven constant on it"
+            )
     return GreedyOCRS(
-        ground,
-        family,
-        lambda y, lim=limit: _TruncatedFamily(family, lim),
-        b,
-        worst,
-        label=f"truncated<= {limit}",
+        ground, family, lambda y: family, b, 1 - b, label=f"plain-{kind}"
     )
 
 
-def _probe_selectability(base, sub, ground: int, b) -> Q:
-    """Worst exact selectability over the vertices of the scaled polytope and
-    the uniform mixture of all maximal members."""
-    probes = []
-    members = [a for a in range(1 << ground) if base.contains(a)]
-    maximal = [
-        a
-        for a in members
-        if not any(x != a and x & a == a for x in members)
-    ]
-    for a in maximal:
-        probes.append(tuple(b if (a >> e) & 1 else ZERO for e in range(ground)))
-    if maximal:
-        k = Q(1, len(maximal))
-        probes.append(
-            tuple(
-                b * k * sum(1 for a in maximal if (a >> e) & 1)
-                for e in range(ground)
-            )
-        )
-    worst = ONE
-    shim = GreedyOCRS(ground, base, lambda y: sub, b, ZERO)
-    for y in probes:
-        rep = selectability(shim, y, check_membership=False)
-        if rep.per_element:
-            worst = min(worst, rep.worst)
-    return worst
+def _is_partition_matroid(family) -> bool:
+    """Whether some partition matroid has exactly family's members: brute
+    force over the set partitions of the ground set, each part capped at the
+    family's rank on it."""
+    if family.m > 6:
+        raise ValueError("partition recognition is limited to 6 elements")
+    members = family.members()
+    return any(
+        PartitionMatroid(
+            family.m, parts, [max(popcount(a & p) for a in members) for p in parts]
+        ).members()
+        == members
+        for parts in _set_partitions(family.m)
+    )
+
+
+def _set_partitions(m: int):
+    """Every partition of range(m) into non-empty blocks, as bitmask tuples."""
+    if m == 0:
+        yield ()
+        return
+    bit = 1 << (m - 1)
+    for rest in _set_partitions(m - 1):
+        yield rest + (bit,)
+        for k in range(len(rest)):
+            yield rest[:k] + (rest[k] | bit,) + rest[k + 1 :]
+
+
+class _Intersection:
+    """Sets in every factor family. A composed scheme's base keeps its
+    factors, so membership reads their rank inequalities."""
+
+    def __init__(self, *factors):
+        self.factors = factors
+
+    def contains(self, mask):
+        for f in self.factors:
+            if not f.contains(mask):
+                return False
+        return True
 
 
 def compose(o1: GreedyOCRS, o2: GreedyOCRS) -> GreedyOCRS:
@@ -266,26 +279,10 @@ def compose(o1: GreedyOCRS, o2: GreedyOCRS) -> GreedyOCRS:
     constant is the product of the parts."""
     if o1.ground != o2.ground or o1.b != o2.b:
         raise ValueError("composed schemes need a common ground set and b")
-
-    class _Base:
-        @staticmethod
-        def contains(mask):
-            return o1.base.contains(mask) and o2.base.contains(mask)
-
-    def rule(y):
-        s1, s2 = o1.rule(y), o2.rule(y)
-
-        class _Sub:
-            @staticmethod
-            def contains(mask):
-                return s1.contains(mask) and s2.contains(mask)
-
-        return _Sub()
-
     return GreedyOCRS(
         o1.ground,
-        _Base(),
-        rule,
+        _Intersection(*_matroid_factors(o1.base), *_matroid_factors(o2.base)),
+        lambda y: _Intersection(o1.rule(y), o2.rule(y)),
         o1.b,
         o1.constant * o2.constant,
         label=f"({o1.label}) ^ ({o2.label})",
@@ -293,12 +290,17 @@ def compose(o1: GreedyOCRS, o2: GreedyOCRS) -> GreedyOCRS:
 
 
 class _ItemCapacityPairs:
-    """Pair sets using each item at most once: a partition matroid over pairs."""
+    """Pair sets using each item at most once: a partition matroid over pairs,
+    the direct sum over items of a rank-one uniform matroid on its buyers."""
 
     kind = "partition"
 
     def __init__(self, n: int, m: int):
         self.n, self.m = n, m
+        self.blocks = tuple(
+            (tuple(i * m + j for i in range(n)), UniformMatroid(n, 1))
+            for j in range(m)
+        )
 
     def contains(self, mask):
         for j in range(self.m):
@@ -318,6 +320,10 @@ class _BuyerProductPairs:
     def __init__(self, instance: Instance):
         self.instance = instance
         self.n, self.m = instance.n, instance.m
+        self.blocks = tuple(
+            (tuple(i * self.m + j for j in range(self.m)), family)
+            for i, family in enumerate(instance.families)
+        )
 
     def contains(self, mask):
         if mask >= 1 << (self.n * self.m):
@@ -330,53 +336,34 @@ class _BuyerProductPairs:
 
 
 def auction_ocrs(instance: Instance, b=HALF) -> GreedyOCRS:
-    """Composed greedy OCRS for the full auction constraint."""
-    n, m = instance.n, instance.m
-    ground = n * m
-    o1 = GreedyOCRS(
-        ground,
-        _ItemCapacityPairs(n, m),
-        lambda y, f=_ItemCapacityPairs(n, m): f,
-        Q(b),
-        1 - Q(b),
-        label="item-capacity",
-    )
-    buyer_fam = _BuyerProductPairs(instance)
-    simple = all(f.kind in ("uniform", "partition") for f in instance.families)
-    if simple:
-        o2 = GreedyOCRS(
-            ground, buyer_fam, lambda y, f=buyer_fam: f, Q(b), 1 - Q(b),
-            label="buyer-families",
-        )
-    else:
-        comps = [
-            matroid_ocrs(instance.families[i], b, ground=instance.m)
-            for i in range(n)
-        ]
-
-        def rule(y, comps=comps, n=n, m=m):
-            subs = [c.rule(None) for c in comps]
-
-            class _Sub:
-                @staticmethod
-                def contains(mask):
-                    for i in range(n):
-                        part = (mask >> (i * m)) & ((1 << m) - 1)
-                        if not subs[i].contains(part):
-                            return False
-                    return mask < 1 << (n * m)
-
-            return _Sub()
-
-        o2 = GreedyOCRS(
+    """Composed greedy OCRS for the full auction constraint: plain greedy on
+    the item-capacity matroid and on the direct sum of the buyers' matroids,
+    whose constant is the least of the buyers' (see matroid_ocrs)."""
+    ground = instance.n * instance.m
+    b = Q(b)
+    caps = _ItemCapacityPairs(instance.n, instance.m)
+    buyers = _BuyerProductPairs(instance)
+    return compose(
+        GreedyOCRS(ground, caps, lambda y: caps, b, 1 - b, label="item-capacity"),
+        GreedyOCRS(
             ground,
-            buyer_fam,
-            rule,
-            Q(b),
-            min(c.constant for c in comps),
-            label="buyer-families-truncated",
-        )
-    return compose(o1, o2)
+            buyers,
+            lambda y: buyers,
+            b,
+            min(matroid_ocrs(f, b).constant for f in instance.families),
+            label="buyer-families",
+        ),
+    )
+
+
+class _Excluding:
+    """A subfamily that never serves the excluded pairs."""
+
+    def __init__(self, inner, excluded: int):
+        self.inner, self.excluded = inner, excluded
+
+    def contains(self, mask):
+        return not mask & self.excluded and self.inner.contains(mask)
 
 
 def prophet_csip(instance: Instance, exa: ExAnte, b=HALF):
@@ -407,18 +394,7 @@ def prophet_csip(instance: Instance, exa: ExAnte, b=HALF):
             raise ConstructionError(
                 f"halved sale probabilities under atom {c_idx} leave the scaled polytope"
             )
-        inner = ocrs.subfamily(tuple(y))
-
-        class _Sub:
-            def __init__(self, inner, excluded, feas):
-                self.inner, self.excluded, self.feas = inner, excluded, feas
-
-            def contains(self, mask):
-                if mask & self.excluded:
-                    return False
-                return self.feas.contains(mask) and self.inner.contains(mask)
-
-        sub[c_idx] = _Sub(inner, excluded, feas)
+        sub[c_idx] = _Excluding(ocrs.subfamily(tuple(y)), excluded)
     spec = MechanismSpec(
         "CSIP" if n > 1 else "IP",
         prices,

@@ -1,18 +1,20 @@
 """Deliberately naive reference oracles: certified grid optima for the
-posted-price families, the equal-revenue hard instance, and a from-scratch
-recomputation of the benchmark sums for cross-validation.
+posted-price families, the equal-revenue hard instance, a from-scratch
+recomputation of the benchmark sums for cross-validation, and scaled-polytope
+membership by convex decomposition.
 
 Nothing here shares evaluation code with the benchmark module; where the same
 quantity is computed twice, the algorithms differ on purpose. The item-pricing
 grid scores each price vector with its own per-type argmax bundle and shares
 no code with the mechanisms module; the permit-pricing grid still scores with
-its evaluator.
+its evaluator. Membership enumerates Caratheodory supports where
+``ocrs.in_scaled_polytope`` reads matroid rank inequalities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .mechanisms import MechanismSpec, _cost_price_table, evaluate
 from .model import CostModel, DiscreteDist, Instance, UniformMatroid, vbar
@@ -383,3 +385,68 @@ def direct_benchmark_recompute(instance: Instance, mechanism) -> dict:
                 prophet += 2 * pc * q[(i, j, c_idx)] * (price - cvec[j])
 
     return {"most_surplus": most, "prophet": prophet, "less_surplus": less}
+
+
+# -- Independent polytope membership ---------------------------------------------
+
+
+def in_scaled_polytope_by_decomposition(base, ground: int, y, b) -> bool:
+    """Test y in b * conv{indicators of members} by exhaustive exact convex
+    decomposition over member indicator vertices (no LP).
+
+    Caratheodory: membership implies a decomposition over affinely independent
+    vertices, whose coefficients solve a square-rank affine system uniquely;
+    enumerating support subsets of size at most ground+1 is therefore complete.
+    """
+    if b == 0:
+        return all(v == 0 for v in y)
+    target = tuple(Q(v) / Q(b) for v in y)
+    if any(v < 0 for v in target):
+        return False
+    support = 0
+    for e in range(ground):
+        if target[e] > 0:
+            support |= 1 << e
+    members = [
+        a
+        for a in range(1 << ground)
+        if not (a & ~support) and base.contains(a)
+    ]
+    if ground > 8:
+        raise ValueError("decomposition search is limited to 8 elements")
+    dim = ground + 1  # affine coordinate appended
+    rhs = list(target) + [Q(1)]
+    cols = [[Q((a >> e) & 1) for e in range(ground)] + [Q(1)] for a in members]
+    for size in range(1, min(len(members), dim) + 1):
+        for idx in combinations(range(len(members)), size):
+            theta = _solve_unique([cols[k] for k in idx], rhs)
+            if theta is not None and all(t >= 0 for t in theta):
+                return True
+    return False
+
+
+def _solve_unique(columns, rhs):
+    """Solve sum_k theta_k * columns[k] = rhs exactly. Returns the solution when
+    the columns have full rank and the system is consistent, else None."""
+    rows = len(rhs)
+    k = len(columns)
+    aug = [[columns[c][r] for c in range(k)] + [rhs[r]] for r in range(rows)]
+    piv_rows = []
+    r = 0
+    for c in range(k):
+        sel = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        if sel is None:
+            return None  # rank-deficient; covered by a smaller support subset
+        aug[r], aug[sel] = aug[sel], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        piv_rows.append(r)
+        r += 1
+    for i in range(r, rows):
+        if aug[i][k] != 0:
+            return None  # inconsistent
+    return [aug[i][k] for i in range(k)]

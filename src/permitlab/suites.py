@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -90,7 +91,8 @@ class InstanceReport:
 
     def require(self, name: str, ok: bool, detail: str = ""):
         if ok:
-            self.passed.append(name)
+            # names repeat across instances; a kept report holds one shared copy
+            self.passed.append(sys.intern(name))
         else:
             self.failed.append((name, detail))
 
@@ -439,7 +441,7 @@ def check_multi(instance: Instance) -> InstanceReport:
         bench.prophet <= 8 * pro_res.profit,
         f"{bench.prophet} > 8*{pro_res.profit}",
     )
-    sel_ok = True
+    worst_sel = None  # (selectability, cost atom, pair) of the least selectable pair
     for c_idx in range(len(instance.costs)):
         y = tuple(
             exa.q[(i, j, c_idx)]
@@ -448,9 +450,9 @@ def check_multi(instance: Instance) -> InstanceReport:
             for i in range(instance.n)
             for j in range(instance.m)
         )
-        sel = selectability(ocrs, y)
-        if sel.per_element and sel.worst < ocrs.constant:
-            sel_ok = False
+        for e, p in selectability(ocrs, y).per_element.items():
+            if worst_sel is None or p < worst_sel[0]:
+                worst_sel = (p, c_idx, e)
         lower = ocrs.constant * sum(
             (
                 exa.q[(i, j, c_idx)]
@@ -466,7 +468,14 @@ def check_multi(instance: Instance) -> InstanceReport:
             pro_res.atom_profit[c_idx] >= lower,
             f"{pro_res.atom_profit[c_idx]} < {lower}",
         )
-    rep.require("ocrs_selectability_at_use", sel_ok)
+    if worst_sel is not None:  # some pair is active on some atom
+        p, c_idx, e = worst_sel
+        rep.require(
+            "ocrs_selectability_at_use",
+            p >= ocrs.constant,
+            f"atom {c_idx}, pair {e} (buyer {e // instance.m}, item {e % instance.m}): "
+            f"selectability {p} < claimed {ocrs.constant}",
+        )
     rep.values["csip"] = max(csip_res.profit, pro_res.profit)
 
     # (c) tail chain

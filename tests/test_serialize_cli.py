@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 from permitlab.cli import main
 from permitlab.generator import random_instance
@@ -92,7 +93,7 @@ def test_cli_verify_and_eval(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_run_writes_reports(tmp_path):
+def test_cli_run_writes_reports(tmp_path, capsys):
     out = tmp_path / "rep"
     rc = main(
         [
@@ -110,9 +111,13 @@ def test_cli_run_writes_reports(tmp_path):
         ]
     )
     assert rc == 0
+    # the status line ends in the suite's seconds, which stay out of the CSV
+    status = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(r"\[pass\] single_item: 5/5 instances clean \(\d+\.\d s\)", status)
     csv_path = out / "single_item.csv"
     assert csv_path.exists()
     header = csv_path.read_text().splitlines()[0]
     assert header.split(",")[:3] == ["instance_id", "opt_profit", "ip"]
+    assert not any("time" in col or col.endswith("_s") for col in header.split(","))
     summary = json.loads((out / "single_item.json").read_text())
     assert summary["all_passed"] is True
