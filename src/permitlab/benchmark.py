@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lp import DirectMechanism, _check_flow_conservation
-from .model import Instance, Thresholds, vbar, vbar_single_table
+from .model import Instance, Thresholds, effective_price, vbar, vbar_single_table
 from .myerson import virtual_values
 from .rational import Q, ZERO, HALF
 
@@ -25,9 +25,7 @@ class ExAnte:
     def sale_probability(self, i: int, j: int, c_idx: int) -> Q:
         """Pr[t > price] + rho * Pr[t = price] at price max(beta, c_j)."""
         d = self.instance.dists[i][j]
-        b = self.beta.get(i, j, c_idx)
-        c_j = self.instance.costs.vector(c_idx)[j]
-        price = b if b > c_j else c_j
+        price = effective_price(self.instance, self.beta, i, j, c_idx)
         return d.pr_gt(price) + self.rho[(i, j, c_idx)] * d.pr_eq(price)
 
 
@@ -441,10 +439,8 @@ def benchmark_terms(
     for (i, j, c_idx), qv in exa.q.items():
         if qv == 0:
             continue
-        cvec = instance.costs.vector(c_idx)
-        b = beta.get(i, j, c_idx)
-        price = b if b > cvec[j] else cvec[j]
-        prophet += 2 * instance.costs.prob(c_idx) * qv * (price - cvec[j])
+        price = effective_price(instance, beta, i, j, c_idx)
+        prophet += 2 * instance.costs.prob(c_idx) * qv * (price - instance.costs.vector(c_idx)[j])
 
     ct = core_tail(instance, beta)
     deltas = core_deltas(instance, beta, ct)

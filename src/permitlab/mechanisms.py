@@ -5,8 +5,12 @@ PB (permit bundling, one buyer), and the sequential multi-buyer variants
 CSIP / RSPP / SPB. One exact evaluator drives all of them: it tracks the
 distribution over sold buyer-item pairs cost atom by cost atom, enumerates
 hiding and rationing coins exactly, and lets each buyer best-respond. Its
-second stage is one step per (buyer, cost atom), which the item-pricing
-searches reuse, and one eligibility rule, which Monte-Carlo reuses.
+first stage is one permit chooser: ``_permit_cands`` lists the (permit set,
+payment) pairs a buyer may buy and ``_choose_permits`` picks one by one tie
+rule; the auxiliary revenue mechanisms and search_best's permit grids reuse
+both with the surplus valuation vbar as the utility. Its second stage is one
+step per (buyer, cost atom), which the item-pricing searches reuse, and one
+eligibility rule, which Monte-Carlo reuses.
 
 Buyers buy on ties (zero-surplus purchases happen, larger bundles win ties);
 rationing at a price boundary is a seller-side coin granting eligibility
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, product
 
 from .benchmark import ExAnte, surplus_tables, willingness
-from .model import Instance, vbar
+from .model import Instance, effective_price, iter_subsets, popcount, vbar
 from .rational import Q, ZERO, ONE, HALF
 
 KINDS = ("IP", "PP", "PB", "CSIP", "RSPP", "SPB")
@@ -171,48 +175,44 @@ def _expected_utility(instance, i, t_i, permit_mask, avail: AvailabilityModel, p
     return total
 
 
+def _permit_cands(instance, i, spec: MechanismSpec):
+    """The (permit mask, stage-1 payment) pairs buyer i may buy: nothing or
+    the grand bundle (PB, SPB), every permit for free (CSIP, IP), nothing or
+    one priced permit (RSPP), or any set of priced permits (PP)."""
+    if spec.kind in ("PB", "SPB"):
+        return ((0, ZERO), (instance.full_mask(), spec.bundle_prices.get(i, ZERO)))
+    if spec.kind in ("CSIP", "IP"):
+        return ((instance.full_mask(), ZERO),)
+    price = [spec.permit_prices.get((i, j)) for j in range(instance.m)]
+    priced = [j for j, l in enumerate(price) if l is not None]
+    if spec.kind == "RSPP":
+        return ((0, ZERO),) + tuple((1 << j, price[j]) for j in priced)
+    return tuple(
+        (pm, sum((price[j] for j in priced if (pm >> j) & 1), ZERO))
+        for pm in iter_subsets(sum(1 << j for j in priced))
+    )
+
+
+def _choose_permits(cands, utility):
+    """The candidate maximizing utility(permit mask) - payment. Ties favor
+    buying: larger sets first, then the smaller mask. A lone candidate is
+    returned without calling utility."""
+    if len(cands) == 1:
+        return cands[0]
+    return max(cands, key=lambda c: (utility(c[0]) - c[1], popcount(c[0]), -c[0]))
+
+
 def best_response_permits(instance, i, t_i, spec: MechanismSpec, avail: AvailabilityModel):
-    """Utility-maximizing permit purchase for one buyer. Returns (permit mask,
-    stage-1 payment). Ties favor buying: larger sets first, then the smaller mask."""
+    """Utility-maximizing permit purchase for one buyer against the expected
+    second-stage surplus. Returns (permit mask, stage-1 payment)."""
     prices_by_atom = [
         tuple(spec.price(i, j, c) for j in range(instance.m))
         for c in range(len(instance.costs))
     ]
-    if spec.kind in ("PB", "SPB"):
-        delta = spec.bundle_prices.get(i, ZERO)
-        full = instance.full_mask()
-        u = _expected_utility(instance, i, t_i, full, avail, prices_by_atom)
-        return (full, delta) if u >= delta else (0, ZERO)
-    if spec.kind in ("CSIP", "IP"):
-        return instance.full_mask(), ZERO
-    if spec.kind == "RSPP":
-        cands = [0] + [
-            1 << j
-            for j in range(instance.m)
-            if spec.permit_prices.get((i, j)) is not None
-        ]
-    else:  # PP: all permit subsets
-        cands = list(range(1 << instance.m))
-    best = None
-    for pm in cands:
-        pay = ZERO
-        ok = True
-        t = pm
-        while t:
-            j = (t & -t).bit_length() - 1
-            l = spec.permit_prices.get((i, j))
-            if l is None:
-                ok = False
-                break
-            pay += l
-            t &= t - 1
-        if not ok:
-            continue
-        u = _expected_utility(instance, i, t_i, pm, avail, prices_by_atom) - pay
-        key = (u, bin(pm).count("1"), -pm)
-        if best is None or key > best[0]:
-            best = (key, pm, pay)
-    return best[1], best[2]
+    return _choose_permits(
+        _permit_cands(instance, i, spec),
+        lambda pm: _expected_utility(instance, i, t_i, pm, avail, prices_by_atom),
+    )
 
 
 def _eligible(t_i, permits, prices, allow, keep):
@@ -320,10 +320,7 @@ def evaluate(
             for t_i in instance.buyer_types(i)
         )
         for f, (permits, _) in zip(instance.buyer_type_probs(i), decisions):
-            if spec.kind == "RSPP" and permits:
-                j = permits.bit_length() - 1
-                permit_buy[(i, j)] = permit_buy.get((i, j), ZERO) + f
-            elif spec.kind == "PP" and permits:
+            if spec.kind in ("PP", "RSPP"):
                 t = permits
                 while t:
                     j = (t & -t).bit_length() - 1
@@ -506,7 +503,7 @@ def _monopoly_price(dist, c_j):
     return best_p
 
 
-def construct_csip_from_copies(instance: Instance, markup_rule: str = "auto"):
+def construct_csip_from_copies(instance: Instance):
     """Item prices cost-plus-markup targeting the copies benchmark.
 
     Additive single buyer: per-item monopoly markups (profit equals the copies
@@ -519,13 +516,9 @@ def construct_csip_from_copies(instance: Instance, markup_rule: str = "auto"):
 
     n, m = instance.n, instance.m
     order = tuple(range(n))
-    additive = (
-        n == 1
-        and instance.families[0].kind == "uniform"
-        and instance.families[0].rank == m
-    )
+    additive = n == 1 and _additive_family(instance)
     prices = {}
-    if additive and markup_rule in ("auto", "monopoly"):
+    if additive:
         for c_idx, (cvec, _) in enumerate(instance.costs.atoms):
             for j in range(m):
                 prices[(0, j, c_idx)] = _monopoly_price(instance.dists[0][j], cvec[j])
@@ -590,9 +583,7 @@ def _beta_price_table(instance: Instance, exa: ExAnte):
     for i in range(instance.n):
         for j in range(instance.m):
             for c_idx in range(len(instance.costs)):
-                c_j = instance.costs.vector(c_idx)[j]
-                b = exa.beta.get(i, j, c_idx)
-                prices[(i, j, c_idx)] = b if b > c_j else c_j
+                prices[(i, j, c_idx)] = effective_price(instance, exa.beta, i, j, c_idx)
                 allow[(i, j, c_idx)] = exa.rho[(i, j, c_idx)]
     return prices, allow
 
@@ -686,38 +677,28 @@ class AuxMechanism:
         )
 
 
-def aux_sell_separately(instance: Instance, permit_prices) -> AuxMechanism:
-    """Best-response permit purchases at the given per-permit prices (n = 1)."""
+def _aux_posted(instance: Instance, spec: MechanismSpec, **prices) -> AuxMechanism:
+    """Each type buys the permits that the spec's stage 1 sells it when its
+    surplus valuation vbar is the second-stage utility (n = 1)."""
+    cands = _permit_cands(instance, 0, spec)
     alloc, payment = {}, {}
     for ti_idx, t_i in enumerate(instance.buyer_types(0)):
-        best = None
-        for pm in range(1 << instance.m):
-            pay = ZERO
-            t = pm
-            while t:
-                j = (t & -t).bit_length() - 1
-                pay += permit_prices[j]
-                t &= t - 1
-            u = vbar(instance, 0, t_i, pm) - pay
-            key = (u, bin(pm).count("1"), -pm)
-            if best is None or key > best[0]:
-                best = (key, pm, pay)
-        alloc[ti_idx] = ((best[1], ONE),)
-        payment[ti_idx] = best[2]
-    return AuxMechanism(instance, alloc, payment, permit_prices=tuple(permit_prices))
+        pm, pay = _choose_permits(cands, lambda p: vbar(instance, 0, t_i, p))
+        alloc[ti_idx] = ((pm, ONE),)
+        payment[ti_idx] = pay
+    return AuxMechanism(instance, alloc, payment, **prices)
+
+
+def aux_sell_separately(instance: Instance, permit_prices) -> AuxMechanism:
+    """Best-response permit purchases at the given per-permit prices (n = 1)."""
+    prices = tuple(permit_prices)
+    spec = _pp_spec(instance, {(0, j): p for j, p in enumerate(prices)})
+    return _aux_posted(instance, spec, permit_prices=prices)
 
 
 def aux_grand_bundle(instance: Instance, delta) -> AuxMechanism:
-    alloc, payment = {}, {}
-    full = instance.full_mask()
-    for ti_idx, t_i in enumerate(instance.buyer_types(0)):
-        if vbar(instance, 0, t_i, full) >= delta:
-            alloc[ti_idx] = ((full, ONE),)
-            payment[ti_idx] = delta
-        else:
-            alloc[ti_idx] = ((0, ONE),)
-            payment[ti_idx] = ZERO
-    return AuxMechanism(instance, alloc, payment, bundle_price=delta)
+    """Best-response purchases of the grand bundle at price delta (n = 1)."""
+    return _aux_posted(instance, _pb_spec(instance, delta), bundle_price=delta)
 
 
 def check_aux_truthful(aux: AuxMechanism):
@@ -810,40 +791,17 @@ def default_grid(instance: Instance, kind: str):
     raise ValueError(f"no default grid for kind {kind}")
 
 
-def search_best(instance: Instance, kind: str, grid=None, guard: int = 1_000_000):
-    """Best mechanism of the family on the candidate grid. Exact family optimum
-    for PB and for additive IP / PP; a certified grid optimum (lower bound on
-    the family optimum) otherwise."""
+def search_best(instance: Instance, kind: str, guard: int = 1_000_000):
+    """Best mechanism of the family on the default candidate grid. Exact family
+    optimum for PB and for additive IP / PP; a certified grid optimum (lower
+    bound on the family optimum) otherwise."""
     if instance.n != 1:
         raise ValueError("search_best covers the single-buyer families")
     if kind not in ("IP", "PP", "PB"):
         raise ValueError(f"search_best does not handle kind {kind}")
-    if grid is None:
-        grid = default_grid(instance, kind)
+    grid = default_grid(instance, kind)
     m = instance.m
     additive = _additive_family(instance)
-
-    if kind == "PB":
-        if not grid:
-            raise ValueError("empty candidate grid")
-        best_delta, best_profit = ZERO, ZERO
-        fp = instance.buyer_type_probs(0)
-        vals = [
-            vbar(instance, 0, t_i, instance.full_mask())
-            for t_i in instance.buyer_types(0)
-        ]
-        for delta in grid:
-            rev = delta * sum(
-                (fp[k] for k in range(len(fp)) if vals[k] >= delta), ZERO
-            )
-            if rev > best_profit:
-                best_delta, best_profit = delta, rev
-        spec = _pb_spec(instance, best_delta)
-        res = evaluate(instance, spec)
-        if res.profit != best_profit:
-            raise AssertionError("PB search disagrees with evaluator")
-        res.lower_bound_only = False
-        return spec, res
 
     if kind == "IP":
         prices = {}
@@ -879,8 +837,7 @@ def search_best(instance: Instance, kind: str, grid=None, guard: int = 1_000_000
         res.lower_bound_only = True
         return spec, res
 
-    # PP
-    if additive:
+    if kind == "PP" and additive:
         permit = {}
         tables = surplus_tables(instance, None)
         for j in range(m):
@@ -892,19 +849,45 @@ def search_best(instance: Instance, kind: str, grid=None, guard: int = 1_000_000
             permit[(0, j)] = best_l
         spec = _pp_spec(instance, permit)
         return spec, evaluate(instance, spec)
-    total = 1
-    for j in range(m):
-        total *= len(grid[j])
-    if total > guard:
-        raise ValueError(f"PP grid size {total} exceeds guard {guard}")
-    best_spec, best_res = None, None
-    for combo in product(*(grid[j] for j in range(m))):
-        spec = _pp_spec(instance, {(0, j): combo[j] for j in range(m)})
-        res = evaluate(instance, spec)
-        if best_res is None or res.profit > best_res.profit:
-            best_spec, best_res = spec, res
-    best_res.lower_bound_only = True
-    return best_spec, best_res
+    if kind == "PB":
+        specs = (_pb_spec(instance, delta) for delta in grid)
+    else:
+        total = 1
+        for j in range(m):
+            total *= len(grid[j])
+        if total > guard:
+            raise ValueError(f"PP grid size {total} exceeds guard {guard}")
+        specs = (
+            _pp_spec(instance, {(0, j): combo[j] for j in range(m)})
+            for combo in product(*(grid[j] for j in range(m)))
+        )
+    # items sell at cost, so each type's utility for a permit set is vbar
+    # whatever the permit prices, and a spec's profit is its stage-1 revenue
+    utility = [
+        [vbar(instance, 0, t_i, pm) for pm in range(1 << m)]
+        for t_i in instance.buyer_types(0)
+    ]
+    best_profit, best_spec = max(
+        ((_stage1_revenue(instance, utility, s), s) for s in specs), key=lambda x: x[0]
+    )
+    res = evaluate(instance, best_spec)
+    if res.profit != best_profit:
+        raise AssertionError(f"{kind} search disagrees with evaluator")
+    res.lower_bound_only = kind == "PP"
+    return best_spec, res
+
+
+def _stage1_revenue(instance, utility, spec):
+    """Expected stage-1 payment of the one buyer when type k's utility for
+    permit mask P is utility[k][P]."""
+    cands = _permit_cands(instance, 0, spec)
+    return sum(
+        (
+            f * _choose_permits(cands, u.__getitem__)[1]
+            for f, u in zip(instance.buyer_type_probs(0), utility)
+        ),
+        ZERO,
+    )
 
 
 def _cost_price_table(instance):

@@ -30,6 +30,7 @@ from .model import (
     Instance,
     PartitionMatroid,
     UniformMatroid,
+    effective_price,
     popcount,
 )
 from .rational import Q, ZERO, ONE, HALF
@@ -383,7 +384,7 @@ def prophet_csip(instance: Instance, exa: ExAnte, b=HALF):
             for j in range(m):
                 qv = exa.q[(i, j, c_idx)]
                 bta = exa.beta.get(i, j, c_idx)
-                prices[(i, j, c_idx)] = bta if bta > cvec[j] else cvec[j]
+                prices[(i, j, c_idx)] = effective_price(instance, exa.beta, i, j, c_idx)
                 allow[(i, j, c_idx)] = exa.rho[(i, j, c_idx)]
                 if bta < cvec[j]:
                     excluded |= 1 << (i * m + j)

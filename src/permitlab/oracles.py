@@ -6,8 +6,9 @@ membership by convex decomposition.
 Nothing here shares evaluation code with the benchmark module; where the same
 quantity is computed twice, the algorithms differ on purpose. The item-pricing
 grid scores each price vector with its own per-type argmax bundle and shares
-no code with the mechanisms module; the permit-pricing grid still scores with
-its evaluator. Membership enumerates Caratheodory supports where
+no code with the mechanisms module. The permit-pricing grid still calls the
+evaluator at every grid point: it is the slow reference for search_best,
+which scores its permit grid from a table of the surplus valuation. Membership enumerates Caratheodory supports where
 ``ocrs.in_scaled_polytope`` reads matroid rank inequalities.
 """
 

@@ -12,7 +12,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 
 from .benchmark import (
@@ -23,7 +23,7 @@ from .benchmark import (
     ex_ante,
     rspp_tail_thresholds,
     surplus_tables,
-    tail_prices,
+    tail_prices,  # unused here, but perfbench/tracing.py wraps suites.tail_prices
     willingness,
 )
 from .generator import random_instance
@@ -39,7 +39,6 @@ from .mechanisms import (
     evaluate,
     monte_carlo_eval,
     search_best,
-    MechanismSpec,
 )
 from .model import (
     AuctionFeasibility,
@@ -237,7 +236,12 @@ def check_single_buyer(instance: Instance, constrained: bool) -> InstanceReport:
         f"lifted {lifted_b}, auxiliary {aux_rev_b}, search {pb_res.profit}",
     )
     rep.require("search_matches_oracle_pb", pb_res.profit == pb)
-    if not constrained:
+    if constrained:
+        # the search's permit grid is a subset of the oracle's
+        rep.require(
+            "search_within_oracle_pp", pp_res.profit <= pp, f"search {pp_res.profit} > oracle {pp}"
+        )
+    else:
         ip_spec, ip_res = search_best(instance, "IP")
         rep.require("search_matches_oracle_ip", ip_res.profit == ip)
         rep.require("search_matches_oracle_pp", pp_res.profit == pp)
@@ -479,7 +483,6 @@ def check_multi(instance: Instance) -> InstanceReport:
     rep.values["csip"] = max(csip_res.profit, pro_res.profit)
 
     # (c) tail chain
-    tp = tail_prices(instance, exa.beta, ct)  # asserts tail <= r_total / 2
     xi = rspp_tail_thresholds(instance, exa.beta, ct)
     tables = surplus_tables(instance, exa.beta)
 
@@ -489,15 +492,14 @@ def check_multi(instance: Instance) -> InstanceReport:
 
     tail_spec = construct_rspp_tail(instance, exa, xi)
     tail_res = evaluate(instance, tail_spec)
-    ok_events = True
-    for i in range(instance.n):
-        for j in range(instance.m):
-            if xi[(i, j)] is None:
-                continue
-            got = tail_res.permit_buy_prob.get((i, j), ZERO)
-            if got < HALF * willing(i, j):
-                ok_events = False
-    rep.require("tail_permit_event_probability", ok_events)
+    short_events = [
+        f"pair ({i}, {j}): bought {got} < needed {HALF * willing(i, j)}"
+        for i in range(instance.n)
+        for j in range(instance.m)
+        if xi[(i, j)] is not None
+        and (got := tail_res.permit_buy_prob.get((i, j), ZERO)) < HALF * willing(i, j)
+    ]
+    rep.require("tail_permit_event_probability", not short_events, "; ".join(short_events))
     xi_mass = sum(
         (
             xi[(i, j)] * willing(i, j)
@@ -536,13 +538,26 @@ def check_multi(instance: Instance) -> InstanceReport:
     spb_res = evaluate(instance, spb_spec)
     rep.values["spb"] = spb_res.profit
     conc = core_concentration_check(instance, exa.beta, ct)
-    rep.require("core_concentration", all(row["holds"] for row in conc))
-    ok_pay = all(
-        spb_res.bundle_pay_prob.get(i, ZERO) >= HALF
-        for i in range(instance.n)
-        if deltas[i] > 0
+    rep.require(
+        "core_concentration",
+        all(row["holds"] for row in conc),
+        "; ".join(
+            f"buyer {row['buyer']}: mean {row['mean_truncated_surplus']} > bound {row['bound']}"
+            for row in conc
+            if not row["holds"]
+        ),
     )
-    rep.require("spb_half_acceptance", ok_pay)
+
+    def unpaid(res):
+        """Buyers with a positive bundle price who pay it with probability below 1/2."""
+        return [
+            f"buyer {i} pays with probability {res.bundle_pay_prob.get(i, ZERO)} < 1/2"
+            for i in range(instance.n)
+            if deltas[i] > 0 and res.bundle_pay_prob.get(i, ZERO) < HALF
+        ]
+
+    short_pay = unpaid(spb_res)
+    rep.require("spb_half_acceptance", not short_pay, "; ".join(short_pay))
     rep.require(
         "core_spb_rspp",
         bench.core <= 8 * spb_res.profit + 20 * rspp_profit,
@@ -566,28 +581,20 @@ def check_multi(instance: Instance) -> InstanceReport:
             (tau_spec, "tau"),
             (spb_spec, "spb"),
         ):
-            swapped = MechanismSpec(
-                spec.kind,
-                spec.item_prices,
-                tie_allow=spec.tie_allow,
-                permit_prices=spec.permit_prices,
-                bundle_prices=spec.bundle_prices,
-                sub_constraint=spec.sub_constraint,
-                order=order,
-                hide_to_half=spec.hide_to_half,
-            )
-            res2 = evaluate(instance, swapped)
+            res2 = evaluate(instance, replace(spec, order=order))
             if label == "tail":
-                ok = ct.tail <= 2 * max(res2.profit, tau_res.profit)
+                best = max(res2.profit, tau_res.profit)
+                ok = ct.tail <= 2 * best
+                detail = f"tail {ct.tail} > 2*{best}"
             elif label == "tau":
-                ok = sum(ct.tau, ZERO) <= 8 * max(res2.profit, tail_res.profit)
+                best = max(res2.profit, tail_res.profit)
+                ok = sum(ct.tau, ZERO) <= 8 * best
+                detail = f"{sum(ct.tau, ZERO)} > 8*{best}"
             else:
-                ok = all(
-                    res2.bundle_pay_prob.get(i, ZERO) >= HALF
-                    for i in range(instance.n)
-                    if deltas[i] > 0
-                )
-            rep.require(f"order_sweep_{label}_{order}", ok)
+                short_pay = unpaid(res2)
+                ok = not short_pay
+                detail = "; ".join(short_pay)
+            rep.require(f"order_sweep_{label}_{order}", ok, detail)
 
     # every constructed mechanism is BIC/interim-IR, so the LP dominates it
     for label, profit in (

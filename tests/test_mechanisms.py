@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from permitlab.mechanisms import (
     construct_rspp_tau,
     construct_spb_core,
     convert_revenue_to_permit,
+    default_grid,
     evaluate,
     monte_carlo_eval,
     search_best,
@@ -27,14 +29,19 @@ from permitlab.model import (
     AuctionFeasibility,
     CostModel,
     DiscreteDist,
+    ExplicitFamily,
     ExplicitPairFamily,
     Instance,
+    PartitionMatroid,
     UniformMatroid,
     UnitDemandPairs,
+    iter_subsets,
+    popcount,
+    vbar,
 )
 from permitlab.myerson import copies_opt_additive, copies_opt_ud
 from permitlab.oracles import brute_posted_price_opt
-from permitlab.rational import Q, ZERO, HALF
+from permitlab.rational import Q, ZERO, ONE, HALF
 
 
 def cost_prices(inst):
@@ -306,9 +313,71 @@ def test_construct_price_prefers_higher_at_ties():
     assert evaluate(inst, spec).profit == 1
 
 
-def test_search_best_empty_grid(canonical):
-    with pytest.raises(ValueError):
-        search_best(canonical, "PB", grid=())
+@st.composite
+def _one_buyer_instances(draw):
+    m = draw(st.integers(1, 3))
+    base = random_instance(
+        draw(st.integers(0, 10**6)), n_max=1, m_min=m, m_max=m, max_support=2, max_atoms=2
+    )
+    kind = draw(st.sampled_from(("uniform", "partition", "explicit")))
+    if kind == "uniform":
+        family = UniformMatroid(m, draw(st.integers(1, m)))
+    elif kind == "partition":
+        labels = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+        parts = [
+            sum(1 << e for e in range(m) if labels[e] == k) for k in sorted(set(labels))
+        ]
+        family = PartitionMatroid(m, parts, [draw(st.integers(0, popcount(p))) for p in parts])
+    else:
+        tops = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=3))
+        family = ExplicitFamily(m, {s for top in tops for s in iter_subsets(top)})
+    return Instance(1, m, base.dists, base.costs, (family,), name=f"{kind}-{base.name}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_one_buyer_instances())
+def test_tabulated_permit_revenue_matches_evaluate_and_aux(inst):
+    # search_best scores its PP and PB grids from a vbar table; at every grid
+    # point that must be evaluate's profit and the auxiliary revenue, and the
+    # evaluator's buyer, facing every item, must choose what the auxiliary
+    # mechanism's buyer chooses
+    from permitlab.mechanisms import _pb_spec, _pp_spec, _stage1_revenue
+
+    m, n_atoms = inst.m, len(inst.costs)
+    types = inst.buyer_types(0)
+    utility = [[vbar(inst, 0, t_i, pm) for pm in range(1 << m)] for t_i in types]
+    everything = AvailabilityModel(inst, [{inst.full_mask(): ONE}] * n_atoms, [[ONE] * m] * n_atoms)
+    grid = default_grid(inst, "PP")
+    points = [("PP", combo) for combo in product(*(grid[j] for j in range(m)))]
+    points += [("PB", delta) for delta in default_grid(inst, "PB")]
+    for kind, price in points:
+        if kind == "PP":
+            spec = _pp_spec(inst, {(0, j): p for j, p in enumerate(price)})
+            aux = aux_sell_separately(inst, price)
+        else:
+            spec = _pb_spec(inst, price)
+            aux = aux_grand_bundle(inst, price)
+        assert _stage1_revenue(inst, utility, spec) == evaluate(inst, spec).profit == aux.revenue()
+        for k, t_i in enumerate(types):
+            ((mask, _),) = aux.alloc[k]
+            assert best_response_permits(inst, 0, t_i, spec, everything) == (mask, aux.payment[k])
+
+
+def test_single_choice_kinds_score_no_permits(canonical, monkeypatch):
+    # CSIP and IP buyers have one stage-1 candidate, so evaluating them never
+    # computes an expected utility; PP buyers do
+    import permitlab.mechanisms as mech
+
+    def refuse(*args):
+        raise AssertionError("expected utility computed")
+
+    monkeypatch.setattr(mech, "_expected_utility", refuse)
+    inst = _multi_instance()
+    evaluate(inst, construct_csip_from_copies(inst))
+    evaluate(canonical, MechanismSpec("IP", {(0, 0, 0): Q(2), (0, 0, 1): Q(2)}))
+    pp = MechanismSpec("PP", cost_prices(canonical), permit_prices={(0, 0): Q(1)})
+    with pytest.raises(AssertionError, match="expected utility computed"):
+        evaluate(canonical, pp)
 
 
 def test_bad_hiding_probs_rejected(canonical):

@@ -119,3 +119,73 @@ def test_benchmark_trace_layers_resolve():
     for mod_name, attr in sites:
         mod = importlib.import_module(f"permitlab.{mod_name}")
         assert callable(getattr(mod, attr, None)), f"permitlab.{mod_name}.{attr}"
+
+
+def test_check_multi_failure_details(monkeypatch):
+    # force the order sweeps, the tail permit events, the bundle acceptance
+    # and the core concentration to fail, and read what each failure names;
+    # the swapped-order specs must keep every field but the order
+    from dataclasses import fields
+
+    from permitlab import suites
+
+    inst = instance_from_dict(build_corpus("multi", seed=12, count=1)[0][1])
+    real = suites.evaluate
+    seen = []
+
+    def starved(instance, spec):
+        seen.append(spec)
+        res = real(instance, spec)
+        if spec.kind == "RSPP":
+            res.profit, res.permit_buy_prob = Q(-1), {}
+        if spec.kind == "SPB":
+            res.bundle_pay_prob = {}
+        return res
+
+    def refuted(instance, beta, ct):
+        return [dict(row, holds=False) for row in real_conc(instance, beta, ct)]
+
+    real_conc = suites.core_concentration_check
+    monkeypatch.setattr(suites, "evaluate", starved)
+    monkeypatch.setattr(suites, "core_deltas", lambda instance, beta, ct: (Q(1), Q(1)))
+    monkeypatch.setattr(suites, "core_concentration_check", refuted)
+    failed = dict(suites.check_multi(inst).failed)
+
+    assert failed["order_sweep_tail_(1, 0)"] == "tail 0 > 2*-1"
+    assert failed["order_sweep_tau_(1, 0)"] == "0 > 8*-1"
+    unpaid = "buyer 0 pays with probability 0 < 1/2; buyer 1 pays with probability 0 < 1/2"
+    assert failed["order_sweep_spb_(1, 0)"] == failed["spb_half_acceptance"] == unpaid
+    events = failed["tail_permit_event_probability"].split("; ")
+    assert events and all(e.startswith("pair (") and " bought 0 < needed " in e for e in events)
+    conc = failed["core_concentration"].split("; ")
+    assert [c.split(":")[0] for c in conc] == ["buyer 0", "buyer 1"]
+    assert all(" > bound " in c for c in conc)
+
+    swapped = [s for s in seen if s.order == (1, 0)]
+    assert [s.kind for s in swapped] == ["RSPP", "RSPP", "SPB"]
+    for spec in swapped:
+        (original,) = [s for s in seen if s.note == spec.note and s.order == (0, 1)]
+        for f in fields(spec):
+            if f.name != "order":
+                assert getattr(spec, f.name) == getattr(original, f.name), f.name
+
+
+def test_search_within_oracle_pp_can_fail(monkeypatch):
+    # on constrained instances the searched PP profit may not exceed the
+    # oracle's, whose grid contains the search's
+    from dataclasses import replace
+
+    from permitlab import suites
+
+    real = suites.brute_posted_price_opt
+
+    def low_pp(instance, kind):
+        out = real(instance, kind)
+        return replace(out, value=out.value - 1) if kind == "PP" else out
+
+    inst = instance_from_dict(build_corpus("single_constrained", seed=3, count=1)[0][1])
+    assert "search_within_oracle_pp" in suites.check_single_buyer(inst, constrained=True).passed
+    monkeypatch.setattr(suites, "brute_posted_price_opt", low_pp)
+    failed = dict(suites.check_single_buyer(inst, constrained=True).failed)
+    assert failed["search_within_oracle_pp"].startswith("search ")
+    assert " > oracle " in failed["search_within_oracle_pp"]
