@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .model import AuctionFeasibility, Instance
-from .rational import Q, ZERO
+from .rational import Q, ONE, ZERO
 from .simplex import LinearProgram, SimplexResult, solve
 
 
@@ -242,33 +242,33 @@ def build_profit_lp(instance: Instance, guard: int = 200_000) -> ProfitLP:
                     tot += t_i[j]
                     t &= t - 1
                 val.append(tot)
+
+            def alloc_terms(rep_idx, sign):
+                # t_i's expected value, times sign, when reporting rep_idx
+                out = {}
+                for rest, w in other_combos:
+                    p_pos = profile_pos[full_combo(rep_idx, rest)]
+                    for c_idx, (_, pc) in enumerate(instance.costs.atoms):
+                        scale = sign * w * pc
+                        for a_pos in range(len(members)):
+                            if val[a_pos]:
+                                out[z_index[(p_pos, c_idx, a_pos)]] = scale * val[a_pos]
+                return out
+
+            truthful = alloc_terms(ti_idx, -ONE)  # shared by every row below
+            cp, cm = pay_index[(i, ti_idx)]
             for target in list(range(len(types))) + [None]:
                 # row: [deviation utility] - [truthful utility] <= 0
-                coeffs = {}
-
-                def add_alloc_terms(rep_idx, sign):
-                    for rest, w in other_combos:
-                        p_pos = profile_pos[full_combo(rep_idx, rest)]
-                        for c_idx, (_, pc) in enumerate(instance.costs.atoms):
-                            scale = sign * w * pc
-                            for a_pos in range(len(members)):
-                                v = val[a_pos]
-                                if v == 0:
-                                    continue
-                                col = z_index[(p_pos, c_idx, a_pos)]
-                                coeffs[col] = coeffs.get(col, ZERO) + scale * v
-
-                add_alloc_terms(ti_idx, Q(-1))
-                cp, cm = pay_index[(i, ti_idx)]
-                coeffs[cp] = coeffs.get(cp, ZERO) + 1
-                coeffs[cm] = coeffs.get(cm, ZERO) - 1
-                if target is not None and target != ti_idx:
-                    add_alloc_terms(target, Q(1))
+                if target == ti_idx:
+                    bic_rows[(i, ti_idx, target)] = lp.add_row({}, 0)  # vacuous
+                    continue
+                coeffs = dict(truthful)
+                coeffs[cp], coeffs[cm] = ONE, -ONE
+                if target is not None:
+                    # other reports occupy other profiles, so other columns
+                    coeffs.update(alloc_terms(target, ONE))
                     tp, tm = pay_index[(i, target)]
-                    coeffs[tp] = coeffs.get(tp, ZERO) - 1
-                    coeffs[tm] = coeffs.get(tm, ZERO) + 1
-                elif target == ti_idx:
-                    coeffs = {}  # self-report row is vacuous
+                    coeffs[tp], coeffs[tm] = -ONE, ONE
                 bic_rows[(i, ti_idx, target)] = lp.add_row(coeffs, 0)
 
     return ProfitLP(instance, lp, members, z_index, pay_index, bic_rows, profiles)

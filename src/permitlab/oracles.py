@@ -3,13 +3,14 @@ posted-price families, the equal-revenue hard instance, a from-scratch
 recomputation of the benchmark sums for cross-validation, and scaled-polytope
 membership by convex decomposition.
 
-Nothing here shares evaluation code with the benchmark module; where the same
-quantity is computed twice, the algorithms differ on purpose. The item-pricing
-grid scores each price vector with its own per-type argmax bundle and shares
-no code with the mechanisms module. The permit-pricing grid still calls the
-evaluator at every grid point: it is the slow reference for search_best,
-which scores its permit grid from a table of the surplus valuation. Membership enumerates Caratheodory supports where
-``ocrs.in_scaled_polytope`` reads matroid rank inequalities.
+Nothing here shares evaluation code with the benchmark module or the
+mechanisms module; where the same quantity is computed twice, the algorithms
+differ on purpose. The item-pricing grid scores each price vector with its own
+per-type argmax bundle. The permit-pricing grid scores each permit price
+vector from its own table of every type's expected surplus for every permit
+set (items sell at cost), where search_best scores its grid from vbar.
+Membership enumerates Caratheodory supports where ``ocrs.in_scaled_polytope``
+reads matroid rank inequalities.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .mechanisms import MechanismSpec, _cost_price_table, evaluate
-from .model import CostModel, DiscreteDist, Instance, UniformMatroid, vbar
+from .mechanisms import evaluate  # noqa: F401 -- never called; perfbench/tracing.py wraps it
+from .model import CostModel, DiscreteDist, Instance, UniformMatroid, popcount, vbar
 from .rational import Q, ZERO, ONE
 
 
@@ -46,7 +47,12 @@ def brute_posted_price_opt(
 
     Additive single-buyer instances decompose exactly (per item, and by
     convolution for the bundle), which is what makes the large equal-revenue
-    instances tractable; everything else walks the full product grid.
+    instances tractable; everything else walks the full product grid. On the
+    permit grid items sell at cost, so a type's stage-1 utility for a permit
+    set is its expected surplus, read from one table built per instance
+    (``_permit_surplus``); each grid point's profit is the expected permit
+    payment when every type buys the set maximizing (surplus - payment, set
+    size, -mask). The evaluator is not called.
     """
     if instance.n != 1:
         raise ValueError("the brute oracle covers the single-buyer families")
@@ -120,33 +126,35 @@ def brute_posted_price_opt(
                         best = l * pr
                 total += best
             return OracleResult("PP-Profit", total, count, "additive per-permit grid")
+        surplus = _permit_surplus(instance)
         grids = []
         for j in range(m):
+            bit = 1 << j
             vals = {ZERO}
-            for t_i in instance.buyer_types(0):
+            for row in surplus:
                 for sub in range(1 << m):
-                    if (sub >> j) & 1:
-                        continue
-                    gain = vbar(instance, 0, t_i, sub | (1 << j)) - vbar(
-                        instance, 0, t_i, sub
-                    )
-                    if gain > 0:
-                        vals.add(gain)
+                    if not sub & bit:
+                        gain = row[sub | bit] - row[sub]
+                        if gain > 0:
+                            vals.add(gain)
             grids.append(tuple(_grid_iter(vals, order)))
         combos = 1
         for g in grids:
             combos *= len(g)
         if combos > guard:
             raise ValueError(f"PP oracle grid {combos} exceeds guard {guard}")
+        fprobs = instance.buyer_type_probs(0)
         best = None
         for combo in product(*grids):
-            spec = MechanismSpec(
-                "PP",
-                _cost_price_table(instance),
-                permit_prices={(0, j): combo[j] for j in range(m)},
-                order=(0,),
-            )
-            pf = evaluate(instance, spec).profit
+            pay = [
+                sum((combo[j] for j in range(m) if (pm >> j) & 1), ZERO) for pm in range(1 << m)
+            ]
+            pf = ZERO
+            for f, row in zip(fprobs, surplus):
+                chosen = max(
+                    range(1 << m), key=lambda pm: (row[pm] - pay[pm], popcount(pm), -pm)
+                )
+                pf += f * pay[chosen]
             if best is None or pf > best:
                 best = pf
         return OracleResult("PP-Profit", best, combos, "full permit grid")
@@ -180,6 +188,30 @@ def brute_posted_price_opt(
         return OracleResult("PB-Profit", best, count, "bundle value grid")
 
     raise ValueError(f"unknown family kind {kind}")
+
+
+def _permit_surplus(instance: Instance):
+    """Per type of the one buyer, its expected surplus from each permit set P
+    (indexed by mask) when items sell at cost: over the cost atoms, the best
+    family member inside P, the empty set scoring 0."""
+    m = instance.m
+    members = instance.families[0].members()
+    rows = []
+    for t_i in instance.buyer_types(0):
+        row = [ZERO] * (1 << m)
+        for cvec, pc in instance.costs.atoms:
+            gain = {}
+            for s in members:
+                items = [j for j in range(m) if (s >> j) & 1]
+                gain[s] = sum((t_i[j] - cvec[j] for j in items), ZERO)
+            for pm in range(1 << m):
+                top = ZERO
+                for s, g in gain.items():
+                    if not s & ~pm and g > top:
+                        top = g
+                row[pm] += pc * top
+        rows.append(tuple(row))
+    return rows
 
 
 def _ip_profit_under_atom(instance: Instance, prices, cvec) -> Q:

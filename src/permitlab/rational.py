@@ -8,6 +8,8 @@ and hash/comparison compatible with it); otherwise we fall back to Fraction.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 try:
     from gmpy2 import mpq as Q
 
@@ -34,8 +36,10 @@ def rat(x) -> Q:
     return Q(x)
 
 
+@lru_cache(maxsize=1024)
 def rat_str(x) -> str:
-    """Render as 'p/q' (or bare integer when the denominator is 1)."""
+    """Render as 'p/q' (or bare integer when the denominator is 1). Memoized,
+    so reports that keep many equal numbers hold one copy of each string."""
     x = Q(x)
     if x.denominator == 1:
         return str(x.numerator)

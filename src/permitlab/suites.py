@@ -168,14 +168,16 @@ def check_single_buyer(instance: Instance, constrained: bool) -> InstanceReport:
             opt <= 2 * ip + 5 * pp + 4 * pb,
             f"{opt} > 2*{ip}+5*{pp}+4*{pb}",
         )
-        rep.require("eleven_approx", 11 * max(ip, pp, pb) >= opt)
+        rep.require(
+            "eleven_approx", 11 * max(ip, pp, pb) >= opt, f"11*max({ip}, {pp}, {pb}) < {opt}"
+        )
     else:
         rep.require(
             "profit_vs_families",
             opt <= ip + 3 * pp + 2 * pb,
             f"{opt} > {ip}+3*{pp}+2*{pb}",
         )
-        rep.require("six_approx", 6 * max(ip, pp, pb) >= opt)
+        rep.require("six_approx", 6 * max(ip, pp, pb) >= opt, f"6*max({ip}, {pp}, {pb}) < {opt}")
 
     exa = ex_ante(instance, sol.mechanism)
     bench = benchmark_terms(instance, sol.mechanism, exa)
@@ -194,14 +196,22 @@ def check_single_buyer(instance: Instance, constrained: bool) -> InstanceReport:
     spec = construct_csip_from_copies(instance)
     res = evaluate(instance, spec)
     rep.values["csip"] = res.profit
-    rep.require("copies_dominates_most_surplus", bench.most_surplus <= copies)
+    rep.require(
+        "copies_dominates_most_surplus",
+        bench.most_surplus <= copies,
+        f"most surplus {bench.most_surplus} > copies {copies}",
+    )
     rep.require(
         "copies_within_twice_item_pricing",
         copies <= 2 * res.profit,
         f"copies {copies} > 2*{res.profit}",
     )
     if not constrained:
-        rep.require("additive_item_pricing_covers", bench.most_surplus <= res.profit)
+        rep.require(
+            "additive_item_pricing_covers",
+            bench.most_surplus <= res.profit,
+            f"most surplus {bench.most_surplus} > item pricing {res.profit}",
+        )
         add_copies = sum(
             (
                 instance.costs.prob(c) * copies_opt_additive(instance, c)
@@ -209,8 +219,12 @@ def check_single_buyer(instance: Instance, constrained: bool) -> InstanceReport:
             ),
             ZERO,
         )
-        rep.require("additive_copies_equality", res.profit == add_copies)
-    rep.require("item_pricing_below_opt", res.profit <= opt)
+        rep.require(
+            "additive_copies_equality",
+            res.profit == add_copies,
+            f"item pricing {res.profit} != copies {add_copies}",
+        )
+    rep.require("item_pricing_below_opt", res.profit <= opt, f"item pricing {res.profit} > {opt}")
 
     # permit reductions: selling permits separately / as a bundle, lifted to
     # two-stage mechanisms (the same permits, then items at cost), must earn
@@ -235,7 +249,9 @@ def check_single_buyer(instance: Instance, constrained: bool) -> InstanceReport:
         lifted_b == aux_rev_b == pb_res.profit,
         f"lifted {lifted_b}, auxiliary {aux_rev_b}, search {pb_res.profit}",
     )
-    rep.require("search_matches_oracle_pb", pb_res.profit == pb)
+    rep.require(
+        "search_matches_oracle_pb", pb_res.profit == pb, f"search {pb_res.profit} != oracle {pb}"
+    )
     if constrained:
         # the search's permit grid is a subset of the oracle's
         rep.require(
@@ -243,9 +259,17 @@ def check_single_buyer(instance: Instance, constrained: bool) -> InstanceReport:
         )
     else:
         ip_spec, ip_res = search_best(instance, "IP")
-        rep.require("search_matches_oracle_ip", ip_res.profit == ip)
-        rep.require("search_matches_oracle_pp", pp_res.profit == pp)
-    rep.require("families_below_opt", max(ip, pp, pb) <= opt)
+        rep.require(
+            "search_matches_oracle_ip",
+            ip_res.profit == ip,
+            f"search {ip_res.profit} != oracle {ip}",
+        )
+        rep.require(
+            "search_matches_oracle_pp",
+            pp_res.profit == pp,
+            f"search {pp_res.profit} != oracle {pp}",
+        )
+    rep.require("families_below_opt", max(ip, pp, pb) <= opt, f"max({ip}, {pp}, {pb}) > {opt}")
     return rep
 
 
@@ -430,7 +454,11 @@ def check_multi(instance: Instance) -> InstanceReport:
     )
     csip_spec = construct_csip_from_copies(instance)
     csip_res = evaluate(instance, csip_spec)
-    rep.require("copies_dominates_most_surplus", bench.most_surplus <= copies)
+    rep.require(
+        "copies_dominates_most_surplus",
+        bench.most_surplus <= copies,
+        f"most surplus {bench.most_surplus} > copies {copies}",
+    )
     rep.require(
         "most_surplus_six_csip",
         bench.most_surplus <= 6 * csip_res.profit,

@@ -24,7 +24,7 @@ from permitlab.mechanisms import (
     monte_carlo_eval,
     search_best,
 )
-from permitlab.generator import random_instance
+from permitlab.generator import _random_basis_matroid, random_instance
 from permitlab.model import (
     AuctionFeasibility,
     CostModel,
@@ -40,7 +40,7 @@ from permitlab.model import (
     vbar,
 )
 from permitlab.myerson import copies_opt_additive, copies_opt_ud
-from permitlab.oracles import brute_posted_price_opt
+from permitlab.oracles import _is_additive, brute_posted_price_opt
 from permitlab.rational import Q, ZERO, ONE, HALF
 
 
@@ -319,7 +319,7 @@ def _one_buyer_instances(draw):
     base = random_instance(
         draw(st.integers(0, 10**6)), n_max=1, m_min=m, m_max=m, max_support=2, max_atoms=2
     )
-    kind = draw(st.sampled_from(("uniform", "partition", "explicit")))
+    kind = draw(st.sampled_from(("uniform", "partition", "basis", "explicit")))
     if kind == "uniform":
         family = UniformMatroid(m, draw(st.integers(1, m)))
     elif kind == "partition":
@@ -328,6 +328,8 @@ def _one_buyer_instances(draw):
             sum(1 << e for e in range(m) if labels[e] == k) for k in sorted(set(labels))
         ]
         family = PartitionMatroid(m, parts, [draw(st.integers(0, popcount(p))) for p in parts])
+    elif kind == "basis":
+        family = _random_basis_matroid(random.Random(draw(st.integers(0, 10**6))), m)
     else:
         tops = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=3))
         family = ExplicitFamily(m, {s for top in tops for s in iter_subsets(top)})
@@ -361,6 +363,45 @@ def test_tabulated_permit_revenue_matches_evaluate_and_aux(inst):
         for k, t_i in enumerate(types):
             ((mask, _),) = aux.alloc[k]
             assert best_response_permits(inst, 0, t_i, spec, everything) == (mask, aux.payment[k])
+
+
+def _pp_by_evaluate(instance, order):
+    """The permit grid from vbar's marginal gains, each grid point scored by
+    one full evaluate call: the slow reference for the oracle's table-scored
+    PP branch. Returns (best profit, grid points)."""
+    from permitlab.mechanisms import _pp_spec
+
+    m = instance.m
+    grids = []
+    for j in range(m):
+        vals = {ZERO}
+        for t_i in instance.buyer_types(0):
+            for sub in range(1 << m):
+                if not (sub >> j) & 1:
+                    gain = vbar(instance, 0, t_i, sub | (1 << j)) - vbar(instance, 0, t_i, sub)
+                    if gain > 0:
+                        vals.add(gain)
+        grids.append(sorted(vals, reverse=order == "descending"))
+    best, count = None, 0
+    for combo in product(*grids):
+        count += 1
+        spec = _pp_spec(instance, {(0, j): combo[j] for j in range(m)})
+        pf = evaluate(instance, spec).profit
+        if best is None or pf > best:
+            best = pf
+    return best, count
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _one_buyer_instances().filter(lambda inst: not _is_additive(inst)),
+    st.sampled_from(("ascending", "descending")),
+)
+def test_pp_oracle_table_matches_evaluate_per_grid_point(inst, order):
+    # the oracle scores its permit grid from its own surplus table; one
+    # evaluate call per grid point must give the same optimum on the same grid
+    got = brute_posted_price_opt(inst, "PP", order=order)
+    assert (got.value, got.enumerated) == _pp_by_evaluate(inst, order)
 
 
 def test_single_choice_kinds_score_no_permits(canonical, monkeypatch):

@@ -172,7 +172,9 @@ def test_check_multi_failure_details(monkeypatch):
 
 def test_search_within_oracle_pp_can_fail(monkeypatch):
     # on constrained instances the searched PP profit may not exceed the
-    # oracle's, whose grid contains the search's
+    # oracle's, whose grid contains the search's; an oracle reporting too
+    # little or too much also trips the bounds and matches that read it, and
+    # each failure names both sides
     from dataclasses import replace
 
     from permitlab import suites
@@ -189,3 +191,22 @@ def test_search_within_oracle_pp_can_fail(monkeypatch):
     failed = dict(suites.check_single_buyer(inst, constrained=True).failed)
     assert failed["search_within_oracle_pp"].startswith("search ")
     assert " > oracle " in failed["search_within_oracle_pp"]
+
+    monkeypatch.setattr(
+        suites, "brute_posted_price_opt", lambda i, kind: replace(real(i, kind), value=Q(-1))
+    )
+    rep = suites.check_single_buyer(inst, constrained=True)
+    opt = rep.values["opt_profit"]
+    failed = dict(rep.failed)
+    assert failed["eleven_approx"] == f"11*max(-1, -1, -1) < {opt}"
+    assert failed["search_matches_oracle_pb"].endswith(" != oracle -1")
+    failed = dict(suites.check_single_buyer(inst, constrained=False).failed)
+    assert failed["six_approx"] == f"6*max(-1, -1, -1) < {opt}"
+    for name in ("ip", "pp"):
+        assert failed[f"search_matches_oracle_{name}"].endswith(" != oracle -1")
+
+    monkeypatch.setattr(
+        suites, "brute_posted_price_opt", lambda i, kind: replace(real(i, kind), value=opt + 1)
+    )
+    failed = dict(suites.check_single_buyer(inst, constrained=True).failed)
+    assert failed["families_below_opt"] == f"max({opt + 1}, {opt + 1}, {opt + 1}) > {opt}"
