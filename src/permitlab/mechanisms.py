@@ -9,8 +9,8 @@ first stage is one permit chooser: ``_permit_cands`` lists the (permit set,
 payment) pairs a buyer may buy and ``_choose_permits`` picks one by one tie
 rule; the auxiliary revenue mechanisms and search_best's permit grids reuse
 both with the surplus valuation vbar as the utility. Its second stage is one
-step per (buyer, cost atom), which the item-pricing searches reuse, and one
-eligibility rule, which Monte-Carlo reuses.
+step per (buyer, cost atom), which the item-pricing searches reuse; Monte-Carlo
+reuses its eligibility rule and its stage-1 plan, without a full evaluation.
 
 Buyers buy on ties (zero-surplus purchases happen, larger bundles win ties);
 rationing at a price boundary is a seller-side coin granting eligibility
@@ -265,15 +265,22 @@ def _second_stage(instance, i, decisions, prices, cvec, allow, keep, sub_fam, st
 
 
 def evaluate(
-    instance: Instance, spec: MechanismSpec, guard: int = 1_000_000
+    instance: Instance, spec: MechanismSpec, guard: int = 1_000_000, *, _plan: bool = False
 ) -> EvalResult:
-    """Exact expected profit of a mechanism, plus event probabilities."""
+    """Exact expected profit of a mechanism, plus event probabilities. With
+    _plan, only stage1 and keep_probs, running a buyer's second stage only when
+    a later buyer's stage 1 reads availability (several permit candidates, or
+    RSPP hiding down to 1/2)."""
     n, m = instance.n, instance.m
     if spec.kind in ("IP", "PP", "PB") and n != 1:
         raise ValueError(f"{spec.kind} is a single-buyer mechanism")
     if instance.n_profiles() * len(instance.costs) > guard:
         raise ValueError("instance too large for exact mechanism evaluation")
     n_atoms = len(instance.costs)
+    order = spec.buyer_order(n)
+    hides = spec.kind == "RSPP" and spec.hide_to_half
+    # with _plan: per position, whether that buyer's stage 1 reads availability
+    reads = [hides or len(_permit_cands(instance, i, spec)) > 1 for i in order] if _plan else ()
     item_bits = [_item_bits(n, m, j) for j in range(m)]
     states = [{0: ONE} for _ in range(n_atoms)]
     revenue = [ZERO] * n
@@ -284,7 +291,7 @@ def evaluate(
     stage1 = {}
     keep_probs = {}
 
-    for i in spec.buyer_order(n):
+    for pos, i in enumerate(order):
         avail_states = []
         keep_rows = []
         for c_idx in range(n_atoms):
@@ -297,11 +304,9 @@ def evaluate(
                 amasks[am] = amasks.get(am, ZERO) + p
             avail_states.append(amasks)
             row = [ONE] * m
-            if spec.kind == "RSPP" and spec.hide_to_half:
+            if hides:
                 for j in range(m):
-                    a = sum(
-                        (p for am, p in amasks.items() if (am >> j) & 1), ZERO
-                    )
+                    a = sum((p for am, p in amasks.items() if (am >> j) & 1), ZERO)
                     if a < HALF:
                         raise ConstructionError(
                             f"item {j} available to buyer {i} with probability {a} < 1/2"
@@ -315,10 +320,12 @@ def evaluate(
                 keep_probs[(i, j, c_idx)] = row[j]
         avail = AvailabilityModel(instance, avail_states, keep_rows)
 
-        decisions = tuple(
+        decisions = stage1[i] = tuple(
             best_response_permits(instance, i, t_i, spec, avail)
             for t_i in instance.buyer_types(i)
         )
+        if _plan and not any(reads[pos + 1:]):
+            continue
         for f, (permits, _) in zip(instance.buyer_type_probs(i), decisions):
             if spec.kind in ("PP", "RSPP"):
                 t = permits
@@ -343,12 +350,11 @@ def evaluate(
             revenue[i] += pc * rev
             cost[i] += pc * cc
             atom_profit[c_idx] += rev - cc
-        stage1[i] = decisions
 
+    if _plan:
+        return EvalResult(stage1=stage1, keep_probs=keep_probs)
     profit = sum(revenue, ZERO) - sum(cost, ZERO)
-    check = sum(
-        (instance.costs.prob(c) * atom_profit[c] for c in range(n_atoms)), ZERO
-    )
+    check = sum((pc * a for (_, pc), a in zip(instance.costs.atoms, atom_profit)), ZERO)
     if profit != check:
         raise AssertionError("per-atom profit does not re-sum to total profit")
     return EvalResult(
@@ -369,22 +375,23 @@ def monte_carlo_eval(
     """Unbiased sampled profit with a 99% normal-approximation half-width.
 
     Stage-1 decisions depend on distributions, not draws, so the permit
-    choices, stage-1 payments and keep probabilities come from one exact
-    evaluate() pass, which brings its size guard; only the realized dynamics
-    are sampled. A buyer's outcome is fixed by (buyer, type, cost atom,
-    usable items, sold pairs), so it is computed once per key and call and
-    looked up afterwards. Every draw, and the order in which floats are
-    summed, is that of the plain per-sample loop.
+    choices, payments and keep probabilities come from evaluate()'s recursion
+    run as a plan, with its size guard and ConstructionError but no full
+    evaluation (see evaluate's _plan). The atom and each type are drawn by one
+    bisection of a cumulative list. A buyer's outcome is fixed by (buyer, type,
+    atom, usable items, sold pairs), so it is computed once per key and call.
+    Every draw, and the order in which floats are summed, is that of the plain
+    per-sample loop.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    exact = evaluate(instance, spec)
-    rng = random.Random(seed)
+    plan = evaluate(instance, spec, _plan=True)
+    rand = random.Random(seed).random
     n, m = instance.n, instance.m
     n_atoms = len(instance.costs)
     order = spec.buyer_order(n)
-    atom_cum = _cumulative(instance.costs.prob(c) for c in range(n_atoms))
-    type_cums = [_cumulative(instance.buyer_type_probs(i)) for i in range(n)]
+    atom_cum = list(accumulate(float(pc) for _, pc in instance.costs.atoms))
+    type_cums = [list(accumulate(map(float, instance.buyer_type_probs(i)))) for i in range(n)]
 
     # plans[i][t][c]: float stage-1 payment, and (item, its pair bits, float
     # usable probability) per eligible item in coin-draw order
@@ -394,13 +401,13 @@ def monte_carlo_eval(
             (
                 tuple(spec.price(i, j, c_idx) for j in range(m)),
                 tuple(spec.allow(i, j, c_idx) for j in range(m)),
-                tuple(exact.keep_probs[(i, j, c_idx)] for j in range(m)),
+                tuple(plan.keep_probs[(i, j, c_idx)] for j in range(m)),
             )
             for c_idx in range(n_atoms)
         ]
         plans[i] = []
         for t_idx, t_i in enumerate(instance.buyer_types(i)):
-            permits, pay = exact.stage1[i][t_idx]
+            permits, pay = plan.stage1[i][t_idx]
             per_atom = []
             for prices, allow, keep in rows:
                 elig = _eligible(t_i, permits, prices, allow, keep)
@@ -414,8 +421,13 @@ def monte_carlo_eval(
     total = 0.0
     total_sq = 0.0
     for _ in range(samples):
-        c_idx = _draw(rng, atom_cum)
-        t_idx = [_draw(rng, type_cums[i]) for i in range(n)]
+        c_idx = bisect_right(atom_cum, rand())
+        if c_idx == n_atoms:  # rounding left the draw above every sum
+            c_idx -= 1
+        t_idx = []
+        for cum in type_cums:
+            t = bisect_right(cum, rand())
+            t_idx.append(t if t < len(cum) else len(cum) - 1)
         sold = 0
         profit = 0.0
         for i in order:
@@ -424,7 +436,7 @@ def monte_carlo_eval(
             profit += pay
             usable = 0
             for j, bits, u in coins:
-                if not (sold & bits) and rng.random() < u:
+                if not (sold & bits) and rand() < u:
                     usable |= 1 << j
             key = (i, t, c_idx, usable, sold)
             out = outcomes.get(key)
@@ -442,21 +454,9 @@ def monte_carlo_eval(
     return EvalResult(estimate=mean, half_width=half, samples=samples)
 
 
-def _cumulative(probs) -> list:
-    """Running float sums of the probabilities, in order."""
-    return list(accumulate(float(p) for p in probs))
-
-
-def _draw(rng, cum):
-    """First index whose cumulative probability exceeds a uniform draw; the
-    last index when rounding leaves the draw above them all."""
-    k = bisect_right(cum, rng.random())
-    return k if k < len(cum) else len(cum) - 1
-
-
 def _sampled_outcome(instance, spec, key):
     """Pairs a buyer buys, and the float price - cost per bought item in
-    ascending item order, at one realized (type, atom, usable, sold) key."""
+    ascending item order, at one realized (buyer, type, atom, usable, sold) key."""
     i, t_idx, c_idx, usable, sold = key
     m = instance.m
     prices = tuple(spec.price(i, j, c_idx) for j in range(m))

@@ -6,9 +6,10 @@ membership by convex decomposition.
 Nothing here shares evaluation code with the benchmark module or the
 mechanisms module; where the same quantity is computed twice, the algorithms
 differ on purpose. The item-pricing grid scores each price vector with its own
-per-type argmax bundle. The permit-pricing grid scores each permit price
-vector from its own table of every type's expected surplus for every permit
-set (items sell at cost), where search_best scores its grid from vbar.
+per-type argmax bundle. The permit-pricing and bundle grids read every
+type's expected surplus at cost from their own scans (the family's members
+inside each permit set, or sum_c p_c * max(0, t - c_j) for one item of an
+additive buyer), where search_best tabulates the surplus valuation vbar.
 Membership enumerates Caratheodory supports where ``ocrs.in_scaled_polytope``
 reads matroid rank inequalities.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .mechanisms import evaluate  # noqa: F401 -- never called; perfbench/tracing.py wraps it
-from .model import CostModel, DiscreteDist, Instance, UniformMatroid, popcount, vbar
+from .model import CostModel, DiscreteDist, Instance, UniformMatroid, popcount
 from .rational import Q, ZERO, ONE
 
 
@@ -50,9 +51,10 @@ def brute_posted_price_opt(
     instances tractable; everything else walks the full product grid. On the
     permit grid items sell at cost, so a type's stage-1 utility for a permit
     set is its expected surplus, read from one table built per instance
-    (``_permit_surplus``); each grid point's profit is the expected permit
-    payment when every type buys the set maximizing (surplus - payment, set
-    size, -mask). The evaluator is not called.
+    (``_permit_surplus``; ``_item_surplus`` per item when additive); each grid
+    point's profit is the expected permit payment when every type buys the set
+    maximizing (surplus - payment, set size, -mask). Neither the evaluator nor
+    vbar is called.
     """
     if instance.n != 1:
         raise ValueError("the brute oracle covers the single-buyer families")
@@ -114,7 +116,7 @@ def brute_posted_price_opt(
                 d = instance.dists[0][j]
                 surplus = {}
                 for t, p in zip(d.support, d.probs):
-                    v = vbar(instance, 0, _lift(instance, j, t), 1 << j)
+                    v = _item_surplus(instance, j, t)
                     surplus[v] = surplus.get(v, ZERO) + p
                 best = ZERO
                 for l in _grid_iter(set(surplus) | {ZERO}, order):
@@ -126,7 +128,7 @@ def brute_posted_price_opt(
                         best = l * pr
                 total += best
             return OracleResult("PP-Profit", total, count, "additive per-permit grid")
-        surplus = _permit_surplus(instance)
+        surplus = _permit_surplus(instance, range(1 << m))  # indexed by mask
         grids = []
         for j in range(m):
             bit = 1 << j
@@ -166,16 +168,16 @@ def brute_posted_price_opt(
                 nxt = {}
                 d = instance.dists[0][j]
                 for t, p in zip(d.support, d.probs):
-                    v = vbar(instance, 0, _lift(instance, j, t), 1 << j)
+                    v = _item_surplus(instance, j, t)
                     for tot, q in dist.items():
                         key = tot + v
                         nxt[key] = nxt.get(key, ZERO) + q * p
                 dist = nxt
         else:
             dist = {}
-            for t_i in instance.buyer_types(0):
-                v = vbar(instance, 0, t_i, instance.full_mask())
-                dist[v] = dist.get(v, ZERO) + instance.type_prob(0, t_i)
+            full = _permit_surplus(instance, (instance.full_mask(),))
+            for (v,), f in zip(full, instance.buyer_type_probs(0)):
+                dist[v] = dist.get(v, ZERO) + f
         best = ZERO
         count = 0
         for delta in _grid_iter(set(dist) | {ZERO}, order):
@@ -190,26 +192,26 @@ def brute_posted_price_opt(
     raise ValueError(f"unknown family kind {kind}")
 
 
-def _permit_surplus(instance: Instance):
+def _permit_surplus(instance: Instance, masks):
     """Per type of the one buyer, its expected surplus from each permit set P
-    (indexed by mask) when items sell at cost: over the cost atoms, the best
-    family member inside P, the empty set scoring 0."""
+    in masks (in their order) when items sell at cost: over the cost atoms,
+    the best family member inside P, the empty set scoring 0."""
     m = instance.m
     members = instance.families[0].members()
     rows = []
     for t_i in instance.buyer_types(0):
-        row = [ZERO] * (1 << m)
+        row = [ZERO] * len(masks)
         for cvec, pc in instance.costs.atoms:
             gain = {}
             for s in members:
                 items = [j for j in range(m) if (s >> j) & 1]
                 gain[s] = sum((t_i[j] - cvec[j] for j in items), ZERO)
-            for pm in range(1 << m):
+            for k, pm in enumerate(masks):
                 top = ZERO
                 for s, g in gain.items():
                     if not s & ~pm and g > top:
                         top = g
-                row[pm] += pc * top
+                row[k] += pc * top
         rows.append(tuple(row))
     return rows
 
@@ -235,11 +237,11 @@ def _ip_profit_under_atom(instance: Instance, prices, cvec) -> Q:
     return total
 
 
-def _lift(instance: Instance, j: int, t):
-    """Any full type vector agreeing with t on coordinate j (others are
-    irrelevant for singleton surpluses)."""
-    return tuple(
-        t if k == j else instance.dists[0][k].support[0] for k in range(instance.m)
+def _item_surplus(instance: Instance, j: int, t) -> Q:
+    """Expected surplus sum_c p_c * max(0, t - c_j) of item j bought at cost
+    by a buyer valuing it at t."""
+    return sum(
+        (pc * (t - cvec[j]) for cvec, pc in instance.costs.atoms if t > cvec[j]), ZERO
     )
 
 

@@ -138,17 +138,30 @@ def check_benchmark(instance: Instance) -> InstanceReport:
         sol.objective <= bench.total,
         f"{sol.objective} > {bench.total}",
     )
-    rep.require("bic_ir", not sol.mechanism.bic_violations())
+    violations = sol.mechanism.bic_violations()
+    rep.require(
+        "bic_ir",
+        not violations,
+        "buyer {}, true type {}, report {} gains {}".format(*violations[0]) if violations else "",
+    )
     vb = verify_virtual_bound(instance, sol.mechanism, sol.lam)
-    rep.require("virtual_bound_lp_duals", vb["holds"])
+    rep.require(
+        "virtual_bound_lp_duals",
+        vb["holds"],
+        f"profit {vb['profit']} > bound {vb['virtual_welfare_bound']}",
+    )
     rec = direct_benchmark_recompute(instance, sol.mechanism)
+    differ = [t for t in ("most_surplus", "prophet", "less_surplus") if rec[t] != getattr(bench, t)]
     rep.require(
         "independent_recompute",
-        rec["most_surplus"] == bench.most_surplus
-        and rec["prophet"] == bench.prophet
-        and rec["less_surplus"] == bench.less_surplus,
+        not differ,
+        "; ".join(f"{t} recomputed {rec[t]} != {getattr(bench, t)}" for t in differ),
     )
-    rep.require("core_tail_cover", bench.less_surplus <= bench.tail + bench.core)
+    rep.require(
+        "core_tail_cover",
+        bench.less_surplus <= bench.tail + bench.core,
+        f"less surplus {bench.less_surplus} > tail {bench.tail} + core {bench.core}",
+    )
     return rep
 
 

@@ -1,5 +1,6 @@
 import random
-from itertools import product
+import re
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -626,6 +627,7 @@ def test_sampler_matches_reference_on_every_kind(canonical, two_iid_items):
     first = None
     for k, (kind, inst, spec) in enumerate(cases):
         assert spec.kind == kind
+        _assert_plan_is_evaluates(inst, spec)
         got = _sampled(inst, spec, 3_000, 100 + k)
         assert got == _reference_mc(inst, spec, 3_000, 100 + k), kind
         if first is None:
@@ -685,3 +687,108 @@ def test_sampler_matches_reference_on_random_specs(
     assert _sampled(inst, spec, samples, mc_seed) == _reference_mc(
         inst, spec, samples, mc_seed
     )
+
+
+def _assert_plan_is_evaluates(inst, spec):
+    """The sampler's plan holds evaluate's stage-1 decisions and keep
+    probabilities, and raises what evaluate raises."""
+    try:
+        full = evaluate(inst, spec)
+    except ConstructionError as exc:
+        with pytest.raises(ConstructionError, match=re.escape(str(exc))):
+            evaluate(inst, spec, _plan=True)
+        return
+    plan = evaluate(inst, spec, _plan=True)
+    assert plan.stage1 == full.stage1
+    assert plan.keep_probs == full.keep_probs
+    assert plan.profit is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    inst_seed=st.integers(0, 10**6),
+    kind=st.sampled_from(("IP", "PP", "PB", "CSIP", "RSPP", "SPB")),
+    markup=st.sampled_from((ZERO, Q(1, 3), Q(1), Q(2))),
+    permit=st.sampled_from((ZERO, Q(1, 2), Q(2, 7), Q(5, 2))),
+    coin=st.sampled_from((Q(1), HALF, Q(1, 3))),
+    hide_to_half=st.booleans(),
+    order=st.sampled_from(((0, 1), (1, 0))),
+    unpriced=st.sampled_from((None, 0, 1)),
+)
+def test_plan_matches_evaluate_on_random_specs(
+    inst_seed, kind, markup, permit, coin, hide_to_half, order, unpriced
+):
+    # the plan skips a buyer's second stage unless a later buyer's stage 1
+    # reads availability: SPB buyers and RSPP buyers with a priced permit
+    # choose against it, and RSPP buyers under canonical hiding read it for
+    # their keep probabilities even when no permit is priced (buyer unpriced)
+    n = 1 if kind in ("IP", "PP", "PB") else 2
+    inst = random_instance(
+        inst_seed, n_min=n, n_max=n, m_max=2, max_support=2, max_atoms=2
+    )
+    cells = [
+        (i, j, c) for i in range(n) for j in range(inst.m) for c in range(len(inst.costs))
+    ]
+    hide = kind == "RSPP" and hide_to_half
+    spec = MechanismSpec(
+        kind,
+        {(i, j, c): inst.costs.vector(c)[j] + markup for i, j, c in cells},
+        tie_allow={cell: coin for cell in cells},
+        permit_prices={
+            (i, j): None if i == unpriced else permit for i in range(n) for j in range(inst.m)
+        },
+        bundle_prices={i: permit for i in range(n)},
+        order=order if n == 2 else None,
+        hide_to_half=hide,
+        hiding_probs={cell: coin for cell in cells} if kind == "RSPP" and not hide else {},
+    )
+    _assert_plan_is_evaluates(inst, spec)
+
+
+def test_sampler_raises_what_evaluate_raises():
+    # canonical hiding: each buyer gets the one item with probability 1/2, so
+    # the third finds it available with probability 0 < 1/2
+    point = DiscreteDist((1,), (1,))
+    inst = Instance(
+        3, 1, ((point,),) * 3, CostModel((((0,), 1),)), (UniformMatroid(1, 1),) * 3
+    )
+    spec = MechanismSpec(
+        "RSPP",
+        cost_prices(inst),
+        permit_prices={(i, 0): ZERO for i in range(3)},
+        hide_to_half=True,
+    )
+    with pytest.raises(ConstructionError) as exact:
+        evaluate(inst, spec)
+    with pytest.raises(ConstructionError) as sampled:
+        monte_carlo_eval(inst, spec, samples=10, seed=0)
+    message = "item 0 available to buyer 2 with probability 0 < 1/2"
+    assert str(sampled.value) == str(exact.value) == message
+
+
+def test_draw_at_the_last_cumulative_sum_picks_the_last_index(monkeypatch):
+    # ten probabilities of 1/10 add up in floats to 1 - 2**-53, a value
+    # random() can return; a draw of it lies above no cumulative sum, so both
+    # the atom and the type draw must fall back to the last index
+    top = 1 - 2.0**-53
+    tenth = (Q(1, 10),) * 10
+    assert list(accumulate(map(float, tenth)))[-1] == top
+    inst = Instance(
+        1,
+        1,
+        ((DiscreteDist(tuple(range(1, 11)), tenth),),),
+        CostModel(tuple(((Q(c, 8),), Q(1, 10)) for c in range(10))),
+        (UniformMatroid(1, 1),),
+    )
+    spec = MechanismSpec("IP", {(0, 0, c): Q(10) for c in range(10)})
+
+    class Stub:
+        def __init__(self, seed):
+            pass
+
+        def random(self):
+            return top
+
+    monkeypatch.setattr(random, "Random", Stub)
+    # only the top type buys at price 10, and the last atom costs 9/8
+    assert _sampled(inst, spec, 1, 0) == _reference_mc(inst, spec, 1, 0) == (10 - 9 / 8, 0.0)

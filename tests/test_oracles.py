@@ -159,3 +159,15 @@ def test_oracles_module_never_calls_the_evaluator():
         or (isinstance(node, ast.Attribute) and node.attr == "evaluate")
     ]
     assert used == []
+    # nor does it share the surplus valuation search_best tabulates: its PP
+    # and PB grids read surpluses from their own scans
+    from_model = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("model", "permitlab.model")
+        for alias in node.names
+    ]
+    assert from_model and "vbar" not in from_model
+    assert not [
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "vbar"
+    ]

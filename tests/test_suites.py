@@ -170,6 +170,61 @@ def test_check_multi_failure_details(monkeypatch):
                 assert getattr(spec, f.name) == getattr(original, f.name), f.name
 
 
+def test_check_benchmark_failure_details(monkeypatch):
+    # force bic_ir, the dual-flow bound, the independent recompute and the
+    # core-tail cover to fail, and read what each failure names
+    from dataclasses import replace
+
+    from permitlab import suites
+
+    inst = instance_from_dict(build_corpus("benchmark", seed=2, count=1)[0][1])
+    assert not check_benchmark(inst).failed
+    real_solve, real_terms = suites.solve_profit_lp, suites.benchmark_terms
+    real_bound, real_recompute = suites.verify_virtual_bound, suites.direct_benchmark_recompute
+
+    def lying_solve(instance):
+        sol = real_solve(instance)
+        sol.mechanism.bic_violations = lambda: [(1, 2, None, Q(1, 3)), (0, 0, 1, Q(1))]
+        return sol
+
+    def uncovered(instance, mechanism, exa):
+        bench = real_terms(instance, mechanism, exa)
+        return replace(bench, less_surplus=bench.tail + bench.core + 1)
+
+    seen = {}
+
+    def unbounded(instance, mechanism, lam):
+        out = seen["bound"] = dict(real_bound(instance, mechanism, lam), holds=False)
+        return out
+
+    def recompute(instance, mechanism):
+        out = seen["recompute"] = real_recompute(instance, mechanism)
+        return dict(out, prophet=out["prophet"] + 1)
+
+    monkeypatch.setattr(suites, "solve_profit_lp", lying_solve)
+    monkeypatch.setattr(suites, "benchmark_terms", uncovered)
+    monkeypatch.setattr(suites, "verify_virtual_bound", unbounded)
+    monkeypatch.setattr(suites, "direct_benchmark_recompute", recompute)
+    rep = check_benchmark(inst)
+    failed = dict(rep.failed)
+    v = rep.values
+
+    assert failed["bic_ir"] == "buyer 1, true type 2, report None gains 1/3"
+    bound = seen["bound"]
+    assert failed["virtual_bound_lp_duals"] == (
+        f"profit {bound['profit']} > bound {bound['virtual_welfare_bound']}"
+    )
+    rec = seen["recompute"]
+    assert failed["independent_recompute"] == (
+        f"prophet recomputed {rec['prophet'] + 1} != {v['prophet']}; "
+        f"less_surplus recomputed {rec['less_surplus']} != {v['less_surplus']}"
+    )
+    assert failed["core_tail_cover"] == (
+        f"less surplus {v['less_surplus']} > tail {v['tail']} + core {v['core']}"
+    )
+    assert v["less_surplus"] == v["tail"] + v["core"] + 1
+
+
 def test_search_within_oracle_pp_can_fail(monkeypatch):
     # on constrained instances the searched PP profit may not exceed the
     # oracle's, whose grid contains the search's; an oracle reporting too
