@@ -627,7 +627,7 @@ def test_sampler_matches_reference_on_every_kind(canonical, two_iid_items):
     first = None
     for k, (kind, inst, spec) in enumerate(cases):
         assert spec.kind == kind
-        _assert_plan_is_evaluates(inst, spec)
+        _assert_plan_matches_evaluate(inst, spec)
         got = _sampled(inst, spec, 3_000, 100 + k)
         assert got == _reference_mc(inst, spec, 3_000, 100 + k), kind
         if first is None:
@@ -689,7 +689,7 @@ def test_sampler_matches_reference_on_random_specs(
     )
 
 
-def _assert_plan_is_evaluates(inst, spec):
+def _assert_plan_matches_evaluate(inst, spec):
     """The sampler's plan holds evaluate's stage-1 decisions and keep
     probabilities, and raises what evaluate raises."""
     try:
@@ -742,7 +742,7 @@ def test_plan_matches_evaluate_on_random_specs(
         hide_to_half=hide,
         hiding_probs={cell: coin for cell in cells} if kind == "RSPP" and not hide else {},
     )
-    _assert_plan_is_evaluates(inst, spec)
+    _assert_plan_matches_evaluate(inst, spec)
 
 
 def test_sampler_raises_what_evaluate_raises():
