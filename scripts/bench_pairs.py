@@ -10,8 +10,11 @@ alternates from pair to pair, so drift in the machine's speed falls on both
 sides alike. Every run's end-to-end metrics and its ``attempted`` count are
 kept, and per metric the file gets each side's median and quartiles, the
 number of pairs in which the change was better, and the median change against
-the bound in the change's BENCHMARK.json. An existing output file keeps its
-other workloads; this workload's entry is replaced.
+the bound in the change's BENCHMARK.json. The summary's ``attempted`` entry
+gives each side's median and quartiles of operations run, since a 30 s run
+keeps every operation's record and its ``peak_rss_mb`` rises with their count.
+An existing output file keeps its other workloads; this workload's entry is
+replaced.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 30
+SIDES = ("parent", "change")
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -78,6 +82,7 @@ def summarize(pairs: list, end_to_end: list) -> dict:
             "bound": metric["bound"],
             "within_bound": (rel if lower else -rel) <= metric["bound"],
         }
+    out["attempted"] = {side: spread([p[side]["attempted"] for p in pairs]) for side in SIDES}
     return out
 
 
@@ -94,7 +99,7 @@ def main(argv=None) -> int:
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     pairs = []
     for k, seed in enumerate(args.seeds):
-        first = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        first = SIDES if k % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": first[0]}
         for side in first:
             pair[side] = run_once(sides[side], args.workload, seed)

@@ -13,7 +13,7 @@ from itertools import product
 
 from .model import AuctionFeasibility, Instance
 from .rational import Q, ONE, ZERO
-from .simplex import LinearProgram, SimplexResult, solve
+from .simplex import LinearProgram, SimplexResult, common_denominator, row_slacks, solve
 
 
 class SizeGuardExceeded(Exception):
@@ -207,6 +207,7 @@ def build_profit_lp(instance: Instance, guard: int = 200_000) -> ProfitLP:
     ]
 
     profile_pos = {combo: p for p, combo in enumerate(profiles)}
+    atoms = instance.costs.atoms
     bic_rows = {}
     for i in range(instance.n):
         types = instance.buyer_types(i)
@@ -224,14 +225,24 @@ def build_profit_lp(instance: Instance, guard: int = 200_000) -> ProfitLP:
             for pos, tk in enumerate(rest):
                 w *= other_probs[pos][tk]
             other_combos.append((rest, w))
-
-        def full_combo(ti_idx, rest):
-            c = list(rest)
-            c.insert(i, ti_idx)
-            return tuple(c)
+        # w * p_c per (others' types, atom), and each report's z columns in
+        # (others' types, atom, member) order
+        weights = [w * pc for _, w in other_combos for _, pc in atoms]
+        report_cols = []
+        for rep_idx in range(len(types)):
+            cols = []
+            for rest, _ in other_combos:
+                combo = list(rest)
+                combo.insert(i, rep_idx)
+                p_pos = profile_pos[tuple(combo)]
+                for c_idx in range(len(atoms)):
+                    cols.extend(
+                        z_index[(p_pos, c_idx, a_pos)] for a_pos in range(len(members))
+                    )
+            report_cols.append(cols)
 
         for ti_idx, t_i in enumerate(types):
-            # value to true type t_i of each member's i-part (shared across rows)
+            # value to true type t_i of each member's i-part
             val = []
             for a_pos in range(len(members)):
                 part = member_ipart[i][a_pos]
@@ -242,20 +253,12 @@ def build_profit_lp(instance: Instance, guard: int = 200_000) -> ProfitLP:
                     tot += t_i[j]
                     t &= t - 1
                 val.append(tot)
-
-            def alloc_terms(rep_idx, sign):
-                # t_i's expected value, times sign, when reporting rep_idx
-                out = {}
-                for rest, w in other_combos:
-                    p_pos = profile_pos[full_combo(rep_idx, rest)]
-                    for c_idx, (_, pc) in enumerate(instance.costs.atoms):
-                        scale = sign * w * pc
-                        for a_pos in range(len(members)):
-                            if val[a_pos]:
-                                out[z_index[(p_pos, c_idx, a_pos)]] = scale * val[a_pos]
-                return out
-
-            truthful = alloc_terms(ti_idx, -ONE)  # shared by every row below
+            # t_i's expected value block, w * p_c * val, built once: negated at
+            # the truthful report's columns in every row below, and as is at
+            # the deviation target's columns
+            block = [(k, wp * v) for k, (wp, v) in enumerate(product(weights, val)) if v]
+            truth_cols = report_cols[ti_idx]
+            truthful = {truth_cols[k]: -wv for k, wv in block}
             cp, cm = pay_index[(i, ti_idx)]
             for target in list(range(len(types))) + [None]:
                 # row: [deviation utility] - [truthful utility] <= 0
@@ -266,7 +269,8 @@ def build_profit_lp(instance: Instance, guard: int = 200_000) -> ProfitLP:
                 coeffs[cp], coeffs[cm] = ONE, -ONE
                 if target is not None:
                     # other reports occupy other profiles, so other columns
-                    coeffs.update(alloc_terms(target, ONE))
+                    dev_cols = report_cols[target]
+                    coeffs.update((dev_cols[k], wv) for k, wv in block)
                     tp, tm = pay_index[(i, target)]
                     coeffs[tp], coeffs[tm] = -ONE, ONE
                 bic_rows[(i, ti_idx, target)] = lp.add_row(coeffs, 0)
@@ -335,15 +339,11 @@ def _check_flow_conservation(instance: Instance, lam: dict):
 
 
 def _check_complementary_slackness(model: ProfitLP, res: SimplexResult):
-    """Rows with positive multiplier must be tight."""
-    for r, y in enumerate(res.duals):
-        if y == 0:
-            continue
-        activity = sum(
-            (v * res.primal.get(j, ZERO) for j, v in model.lp.rows[r].items()),
-            ZERO,
-        )
-        if activity != model.lp.rhs[r]:
+    """Rows with positive multiplier must be tight, checked in integers."""
+    tight = [r for r, y in enumerate(res.duals) if y]
+    d, xs = common_denominator(res.primal)
+    for r, slack in zip(tight, row_slacks(model.lp, d, xs, tight)):
+        if slack:
             raise AssertionError(f"row {r} has positive dual but positive slack")
 
 
@@ -394,11 +394,11 @@ def dump_lp_text(model: ProfitLP, path: str):
     for j, c in sorted(lp.obj.items()):
         lines.append(term(c, j))
     lines.append("\nSubject To\n")
-    for r, row in enumerate(lp.rows):
+    for r, (row, scale) in enumerate(zip(lp.rows, lp.scale)):
         lines.append(f" r{r}: ")
-        for j, c in sorted(row.items()):
-            lines.append(term(c, j))
-        lines.append(f"<= {float(lp.rhs[r])}\n")
+        for j, a in sorted(row.items()):
+            lines.append(term(a / scale, j))
+        lines.append(f"<= {lp.rhs[r] / scale}\n")
     lines.append("End\n")
     with open(path, "w") as fh:
         fh.write("".join(lines))

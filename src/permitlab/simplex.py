@@ -4,24 +4,31 @@
 
 which is the shape the profit program takes after eliminating the trivial
 empty-allocation variable (the slack basis is then feasible, so no phase 1).
-Rows are sparse dicts. Entering variable: Dantzig rule, switching to Bland's
-rule after a run of degenerate pivots so termination is guaranteed.
+Rows are sparse dicts held once, in integers: row r keeps its coefficients and
+its rhs times its scale L_r, the lcm of their denominators, so the rational
+entry is a / L_r. Entering variable: Dantzig rule, switching to Bland's rule
+after a run of degenerate pivots so termination is guaranteed.
 
 ``solve`` certifies, then trusts. One tableau loop, written over a number
-type and its tolerances, first runs on floats. Floats only propose a solution:
-its primal x and row duals y are rounded to nearby rationals and checked
-exactly against the program's own rational data (x >= 0, Ax <= b, y >= 0,
-A^T y >= c and c.x = b.y), which proves optimality. When the proof fails, or
-the float loop stalls or finds a ray, the same loop runs again on exact
-rationals with zero tolerance, so unboundedness is only ever decided exactly.
-Every number returned is exact and carries a checked certificate: the dual
-proof on the certified path, the exact pivoting itself on the other.
+type and its tolerances, first runs on floats, reading each entry as the
+correctly rounded int division a / L_r (the float of the rational entry).
+Floats only propose a solution: its primal x and row duals y are rounded to
+nearby rationals and checked exactly against the program's own data, in
+integers (x over its common denominator, the multipliers y_r / L_r of the
+integer rows over theirs): x >= 0, Ax <= b, y >= 0, A^T y >= c and
+c.x = b.y, which proves optimality. When the proof fails, or the float loop
+stalls or finds a ray, the same loop runs again on exact rationals Q(a, L_r)
+with zero tolerance, so unboundedness is only ever decided exactly. Every
+number returned is exact and carries a checked certificate: the dual proof on
+the certified path, the exact pivoting itself on the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
+from operator import truediv
 
 from .rational import Q, ZERO
 
@@ -39,9 +46,10 @@ class Unbounded(Exception):
 @dataclass
 class LinearProgram:
     ncols: int = 0
-    rows: list = field(default_factory=list)  # list[dict[col, Q]]
-    rhs: list = field(default_factory=list)
-    obj: dict = field(default_factory=dict)
+    rows: list = field(default_factory=list)  # list[dict[col, int]]: row r times scale[r]
+    rhs: list = field(default_factory=list)  # list[int]: b_r times scale[r], >= 0
+    scale: list = field(default_factory=list)  # list[int]: L_r, lcm of row r's denominators
+    obj: dict = field(default_factory=dict)  # col -> Q
 
     def add_cols(self, k: int) -> range:
         r = range(self.ncols, self.ncols + k)
@@ -63,11 +71,15 @@ class LinearProgram:
             self.obj.pop(col, None)
 
     def add_row(self, coeffs: dict, rhs) -> int:
+        """Add sum_j coeffs[j] x_j <= rhs, for int or rational coefficients."""
         rhs = Q(rhs)
         if rhs < 0:
             raise ValueError("rhs must be non-negative for the slack start")
-        self.rows.append({j: Q(v) for j, v in coeffs.items() if v != 0})
-        self.rhs.append(rhs)
+        terms = [(j, v.numerator, v.denominator) for j, v in coeffs.items() if v]
+        scale = lcm(rhs.denominator, *{d for _, _, d in terms})
+        self.rows.append({j: p * (scale // d) for j, p, d in terms})
+        self.rhs.append(rhs.numerator * (scale // rhs.denominator))
+        self.scale.append(scale)
         return len(self.rows) - 1
 
 
@@ -101,7 +113,7 @@ def _propose(lp: LinearProgram):
     None when the float loop stalls or reports unboundedness."""
     cap = FLOAT_PASS_CAP * (len(lp.rows) + lp.ncols) + 1
     try:
-        _, primal, duals, iters = _simplex(lp, float, FLOAT_TOL, FLOAT_DROP, cap)
+        _, primal, duals, iters = _simplex(lp, truediv, FLOAT_TOL, FLOAT_DROP, cap)
     except (Unbounded, _Stalled):
         return None
     primal = {j: q for j, v in primal.items() if (q := _rational(v))}
@@ -112,48 +124,87 @@ def _rational(v: float) -> Q:
     return Q(Fraction(v).limit_denominator(DENOMINATOR_CAP))
 
 
+def common_denominator(values: dict):
+    """(D, {k: v * D}) with D the lcm of the rationals' denominators."""
+    d = lcm(*{v.denominator for v in values.values()})
+    return d, {k: v.numerator * (d // v.denominator) for k, v in values.items()}
+
+
+def row_slacks(lp: LinearProgram, d: int, xs: dict, rows) -> list:
+    """D * L_r * (b_r - A_r x) for each listed row r, where xs holds x * D:
+    integers with the sign of each row's slack, zero exactly on a tight row."""
+    out = []
+    for r in rows:
+        activity = 0
+        for j, a in lp.rows[r].items():
+            x = xs.get(j)
+            if x:
+                activity += a * x
+        out.append(lp.rhs[r] * d - activity)
+    return out
+
+
 def _certified_optimum(lp: LinearProgram, primal: dict, duals: list):
     """c.x when x and y are feasible for the primal and the dual with equal
-    objectives, which proves both optimal; otherwise None. Exact throughout."""
-    if any(v < 0 for v in primal.values()) or any(y < 0 for y in duals):
+    objectives, which proves both optimal; otherwise None. Exact throughout, in
+    integers: x = X / D, c = C' / C and the multiplier y_r / L_r of integer
+    row r is U_r / E, so A^T y = A_int^T U / E, c.x = C'.X / (C D) and
+    b.y = b_int.U / E."""
+    d, xs = common_denominator(primal)
+    if any(x < 0 for x in xs.values()) or any(y < 0 for y in duals):
         return None
-    aty = {}  # col -> (A^T y)_col
-    for row, b, y in zip(lp.rows, lp.rhs, duals):
-        activity = ZERO
-        for j, a in row.items():
-            x = primal.get(j)
-            if x is not None:
-                activity += a * x
-            if y:
-                aty[j] = aty.get(j, ZERO) + a * y
-        if activity > b:
-            return None
+    if any(s < 0 for s in row_slacks(lp, d, xs, range(len(lp.rows)))):
+        return None
+    us = []  # y_r / L_r in lowest terms
+    for y, scale in zip(duals, lp.scale):
+        g = gcd(y.numerator, scale)
+        us.append((y.numerator // g, y.denominator * (scale // g)))
+    e = lcm(*{den for _, den in us})
+    us = [p * (e // den) for p, den in us]
+    aty = {}  # col -> (A^T y)_col * E
+    for row, u in zip(lp.rows, us):
+        if u:
+            for j, a in row.items():
+                aty[j] = aty.get(j, 0) + a * u
+    c, cs = common_denominator(lp.obj)  # c_j = cs[j] / C
     for j in range(lp.ncols):
-        if aty.get(j, ZERO) < lp.obj.get(j, ZERO):
+        if aty.get(j, 0) * c < cs.get(j, 0) * e:
             return None
-    objective = sum((lp.obj.get(j, ZERO) * x for j, x in primal.items()), ZERO)
-    if objective != sum((b * y for b, y in zip(lp.rhs, duals)), ZERO):
+    cx = sum(cs[j] * x for j, x in xs.items() if j in cs)  # c.x * C * D
+    by = sum(b * u for b, u in zip(lp.rhs, us))  # b.y * E
+    if cx * e != by * c * d:
         return None
-    return objective
+    return Q(cx, c * d)
 
 
-def _simplex(lp: LinearProgram, num, tol, drop, max_iters=None):
-    """The tableau loop over number type num: (objective, primal, duals,
-    passes). Reduced costs and pivots must exceed tol, and entries within
-    drop of zero become zero; with rationals and both 0 every step is exact.
-    Raises Unbounded on a ray and _Stalled after max_iters passes."""
+def _tableau(lp: LinearProgram, ratio):
+    """The program's rows, rhs and objective in the number type of ratio(p, q),
+    which reads integer entry a of row r as a / L_r: operator.truediv gives the
+    correctly rounded float of the rational entry, Q gives Q(a, L_r). Rows run
+    over structural cols and slack cols (ncols + r)."""
+    ncols = lp.ncols
+    one = ratio(1, 1)
+    rows = []
+    for r, (row, scale) in enumerate(zip(lp.rows, lp.scale)):
+        t = {j: ratio(a, scale) for j, a in row.items()}
+        t[ncols + r] = one
+        rows.append(t)
+    rhs = [ratio(b, scale) for b, scale in zip(lp.rhs, lp.scale)]
+    obj = {j: ratio(v.numerator, v.denominator) for j, v in lp.obj.items() if v}
+    return rows, rhs, obj
+
+
+def _simplex(lp: LinearProgram, ratio, tol, drop, max_iters=None):
+    """The tableau loop over the number type of ratio (see _tableau):
+    (objective, primal, duals, passes). Reduced costs and pivots must exceed
+    tol, and entries within drop of zero become zero; with rationals and both 0
+    every step is exact. Raises Unbounded on a ray and _Stalled after
+    max_iters passes."""
     nrows = len(lp.rows)
     ncols = lp.ncols
-    zero = num(0)
+    zero = ratio(0, 1)
     ndrop = -drop
-    # tableau rows over structural cols + slack cols (ncols + r)
-    rows = []
-    for r, row in enumerate(lp.rows):
-        t = {j: num(v) for j, v in row.items()}
-        t[ncols + r] = num(1)
-        rows.append(t)
-    rhs = [num(v) for v in lp.rhs]
-    obj = {j: num(v) for j, v in lp.obj.items() if v != 0}
+    rows, rhs, obj = _tableau(lp, ratio)
     objval = zero
     basis = [ncols + r for r in range(nrows)]
     stall = 0

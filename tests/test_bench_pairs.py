@@ -15,7 +15,7 @@ with open("../order.log", "a") as fh:
 wall = {wall} + seed / 100
 print("1 operations per round")
 print(json.dumps({{
-    "correct": True, "attempted": 10 * seed, "failed": 0,
+    "correct": True, "attempted": {per_seed} * seed, "failed": 0,
     "metrics": {{
         "wall_s": {{"value": wall, "unit": "s"}},
         "setup_s": {{"value": 0.5, "unit": "s"}},
@@ -33,9 +33,9 @@ def _load():
 
 
 def test_bench_pairs_alternates_sides_and_summarizes(tmp_path, monkeypatch):
-    for side, wall in (("parent", 2.0), ("change", 1.0)):
+    for side, wall, per_seed in (("parent", 2.0, 12), ("change", 1.0, 10)):
         (tmp_path / side / "perfbench").mkdir(parents=True)
-        run = FAKE_RUN.format(side=side, wall=wall)
+        run = FAKE_RUN.format(side=side, wall=wall, per_seed=per_seed)
         (tmp_path / side / "perfbench" / "run.py").write_text(run)
         shutil.copy(ROOT / "BENCHMARK.json", tmp_path / side)
     mod = _load()
@@ -58,3 +58,7 @@ def test_bench_pairs_alternates_sides_and_summarizes(tmp_path, monkeypatch):
     setup = entry["summary"]["setup_s"]
     assert setup["change_better_pairs"] == 0 and setup["median_change"] == 0
     assert not setup["median_gap_exceeds_parent_iqr"] and setup["within_bound"]
+    # operations run per side (12 and 10 per seed unit), to read peak_rss_mb against
+    attempted = entry["summary"]["attempted"]
+    assert attempted["parent"] == {"median": 30, "q1": 21, "q3": 39, "iqr": 18}
+    assert attempted["change"] == {"median": 25, "q1": 17.5, "q3": 32.5, "iqr": 15}

@@ -1,5 +1,10 @@
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+from permitlab import lp as lp_module
+from permitlab.cli import main
 from permitlab.lp import (
     DirectMechanism,
     SizeGuardExceeded,
@@ -9,7 +14,11 @@ from permitlab.lp import (
     verify_virtual_bound,
 )
 from permitlab.model import CostModel, DiscreteDist, Instance, UniformMatroid
-from permitlab.rational import Q
+from permitlab.rational import Q, ZERO
+from permitlab.serialize import save_instance
+from permitlab.simplex import solve
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_optimum_three_quarters(canonical):
@@ -98,3 +107,40 @@ def test_zero_item_instance():
 
     inst = Instance(1, 0, ((),), CostModel((((), Q(1)),)), (UniformMatroid(0, 0),))
     assert solve_profit_lp(inst).objective == 0
+
+
+def test_slackness_check_fails_on_a_positive_dual_at_a_slack_row(canonical):
+    model = build_profit_lp(canonical)
+    res = solve(model.lp)
+    lp_module._check_complementary_slackness(model, res)  # the optimum passes
+
+    def slack(r):
+        scale = model.lp.scale[r]
+        activity = sum(
+            (Q(a, scale) * res.primal.get(j, ZERO) for j, a in model.lp.rows[r].items()),
+            ZERO,
+        )
+        return Q(model.lp.rhs[r], scale) - activity
+
+    loose = [r for r, y in enumerate(res.duals) if y == 0 and slack(r) > 0]
+    assert loose
+    for r in loose:
+        duals = list(res.duals)
+        duals[r] = Q(1, 7)
+        tampered = dataclasses.replace(res, duals=duals)
+        with pytest.raises(AssertionError, match=f"row {r} has positive dual"):
+            lp_module._check_complementary_slackness(model, tampered)
+
+
+@pytest.mark.parametrize("name", ["canonical", "multi-seed6-0003"])
+def test_dump_lp_text_matches_golden(canonical, name, tmp_path):
+    # the golden texts were written before the rows were held as integers, so
+    # the float rendering a / L_r must match the rational rows' float exactly
+    if name == "canonical":
+        inst_path = tmp_path / "canonical.json"
+        save_instance(canonical, str(inst_path))
+    else:
+        inst_path = DATA / f"{name}.json"
+    out = tmp_path / "model.lp"
+    assert main(["verify", "--instance", str(inst_path), "--dump-lp", str(out)]) == 0
+    assert out.read_text() == (DATA / f"{name}.lp").read_text()

@@ -1,8 +1,11 @@
+from math import lcm
+from operator import truediv
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from permitlab import simplex
-from permitlab.rational import Q
+from permitlab.rational import Q, ZERO
 from permitlab.simplex import LinearProgram, Unbounded, solve
 
 
@@ -56,19 +59,130 @@ def test_zero_objective():
 
 # -- certify-then-trust -----------------------------------------------------------
 
-_coef = st.sampled_from([Q(0), Q(0), Q(1), Q(-1), Q(2), Q(1, 3), Q(-5, 2), Q(7, 4)])
-_rhs = st.sampled_from([Q(0), Q(0), Q(1), Q(3, 2), Q(5)])  # zeros make pivots degenerate
+# mixed denominators in one row (1/3 with 7/4) and a large one (1/10^7), so
+# row scales differ from row to row and from 1
+_coef = st.sampled_from(
+    [Q(0), Q(0), Q(1), Q(-1), Q(2), Q(1, 3), Q(-5, 2), Q(7, 4), Q(1, 10**7), Q(-3, 10)]
+)
+_rhs = st.sampled_from([Q(0), Q(0), Q(1), Q(3, 2), Q(5), Q(2, 3)])  # zeros: degenerate pivots
 
 
 @st.composite
-def small_lps(draw):
+def drawn_lps(draw, coef=_coef, rhs=_rhs):
+    """(lp, rows, rhs): the program and the rationals its rows were drawn as."""
     lp = LinearProgram()
     ncols = draw(st.integers(1, 4))
     for _ in range(ncols):
-        lp.add_col(draw(_coef))
+        lp.add_col(draw(coef))
+    rows, rhss = [], []
     for _ in range(draw(st.integers(0, 4))):
-        lp.add_row({j: draw(_coef) for j in range(ncols)}, draw(_rhs))
-    return lp
+        row = {j: draw(coef) for j in range(ncols)}
+        b = abs(draw(rhs))
+        lp.add_row(row, b)
+        rows.append(row)
+        rhss.append(b)
+    return lp, rows, rhss
+
+
+def small_lps():
+    return drawn_lps().map(lambda drawn: drawn[0])
+
+
+# any rational up to 10^20 with a denominator up to 10^8: numerators of the
+# integer rows pass 2^53, where a float numerator over a float scale would
+# round twice
+_wide = st.fractions(min_value=-(10**20), max_value=10**20, max_denominator=10**8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(drawn_lps(), drawn_lps(_wide, _wide)))
+def test_rows_are_integers_over_their_scale(drawn):
+    lp, rows, rhss = drawn
+    assert len(lp.rows) == len(lp.rhs) == len(lp.scale) == len(rows)
+    for r, (row, b) in enumerate(zip(rows, rhss)):
+        scale = lp.scale[r]
+        assert scale == lcm(b.denominator, *(v.denominator for v in row.values()))
+        assert type(lp.rhs[r]) is int and Q(lp.rhs[r], scale) == b
+        assert list(lp.rows[r]) == [j for j, v in row.items() if v]
+        for j, a in lp.rows[r].items():
+            assert type(a) is int and Q(a, scale) == row[j]
+    # the float pass reads each entry as the float of the drawn rational and
+    # the exact loop as the rational itself
+    for ratio, num in ((truediv, float), (Q, Q)):
+        t_rows, t_rhs, t_obj = simplex._tableau(lp, ratio)
+        for r, (row, b) in enumerate(zip(rows, rhss)):
+            expect = {j: num(v) for j, v in row.items() if v}
+            expect[lp.ncols + r] = num(1)
+            assert t_rows[r] == expect and t_rhs[r] == num(b)
+            assert all(type(v) is type(num(1)) for v in t_rows[r].values())
+        assert t_obj == {j: num(c) for j, c in lp.obj.items()}
+
+
+def _reference_certificate(lp, primal, duals):
+    """The rational certificate the integer one replaced, over the rational
+    rows Q(a, L_r): c.x when x >= 0, Ax <= b, y >= 0, A^T y >= c and
+    c.x = b.y, else None."""
+    rows = [{j: Q(a, s) for j, a in row.items()} for row, s in zip(lp.rows, lp.scale)]
+    rhs = [Q(b, s) for b, s in zip(lp.rhs, lp.scale)]
+    if any(v < 0 for v in primal.values()) or any(y < 0 for y in duals):
+        return None
+    aty = {}  # col -> (A^T y)_col
+    for row, b, y in zip(rows, rhs, duals):
+        activity = ZERO
+        for j, a in row.items():
+            x = primal.get(j)
+            if x is not None:
+                activity += a * x
+            if y:
+                aty[j] = aty.get(j, ZERO) + a * y
+        if activity > b:
+            return None
+    for j in range(lp.ncols):
+        if aty.get(j, ZERO) < lp.obj.get(j, ZERO):
+            return None
+    objective = sum((lp.obj.get(j, ZERO) * x for j, x in primal.items()), ZERO)
+    if objective != sum((b * y for b, y in zip(rhs, duals)), ZERO):
+        return None
+    return objective
+
+
+_nudge = st.sampled_from([Q(0), Q(0), Q(0), Q(1, 10**6), Q(-1, 10**6), Q(1, 3), Q(-2, 7)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_lps(), st.data())
+def test_integer_certificate_matches_rational_reference(lp, data):
+    proposal = simplex._propose(lp)
+    if proposal is None:
+        return
+    primal, duals, _ = proposal
+    cert = simplex._certified_optimum(lp, primal, duals)
+    assert cert == _reference_certificate(lp, primal, duals)
+    assert cert is None or type(cert) is type(Q(0))
+    # nudged proposals: most fail some condition, and both must say which way
+    primal = {j: x + data.draw(_nudge) for j, x in primal.items()}
+    primal.update({j: data.draw(_nudge) for j in range(lp.ncols) if j not in primal})
+    duals = [y + data.draw(_nudge) for y in duals]
+    assert simplex._certified_optimum(lp, primal, duals) == _reference_certificate(
+        lp, primal, duals
+    )
+
+
+def _row_slack_reference(lp, primal, r):
+    activity = sum((Q(a, lp.scale[r]) * primal.get(j, ZERO) for j, a in lp.rows[r].items()), ZERO)
+    return Q(lp.rhs[r], lp.scale[r]) - activity
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_lps(), st.data())
+def test_row_slacks_have_the_sign_of_the_rational_slack(drawn, data):
+    lp = drawn[0]
+    primal = {j: data.draw(_coef) for j in range(lp.ncols)}
+    d, xs = simplex.common_denominator(primal)
+    assert all(Q(xs[j], d) == x for j, x in primal.items())
+    rows = range(len(lp.rows))
+    for r, slack in zip(rows, simplex.row_slacks(lp, d, xs, rows)):
+        assert Q(slack, d * lp.scale[r]) == _row_slack_reference(lp, primal, r)
 
 
 def _basic_lp():
@@ -128,6 +242,7 @@ def test_tampered_certificate_falls_back(monkeypatch, tamper):
     assert simplex._certified_optimum(lp, primal, duals) == 12
     primal, duals = TAMPERED[tamper]
     assert simplex._certified_optimum(lp, primal, duals) is None
+    assert _reference_certificate(lp, primal, duals) is None
     monkeypatch.setattr(simplex, "_propose", lambda _: (primal, duals, passes))
     res = solve(lp)
     assert res.path == "exact"

@@ -3,7 +3,11 @@ import importlib.util
 import json
 from pathlib import Path
 
-from permitlab.rational import Q
+import pytest
+
+from permitlab.benchmark import core_deltas, core_tail, ex_ante
+from permitlab.lp import solve_profit_lp
+from permitlab.rational import Q, ZERO
 from permitlab.suites import (
     CSV_COLUMNS,
     build_corpus,
@@ -11,7 +15,9 @@ from permitlab.suites import (
     check_multi,
     run_suite,
 )
-from permitlab.serialize import instance_from_dict
+from permitlab.serialize import instance_from_dict, instance_to_dict, load_instance
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_corpus_is_deterministic():
@@ -90,6 +96,29 @@ def test_failure_replay(tmp_path, monkeypatch):
     monkeypatch.undo()  # at the default guard the saved instance checks clean
     replay = suites._worker(("single_item", payload, {}))
     assert "error" not in replay and not replay["failed"]
+
+
+@pytest.mark.parametrize(
+    "seed, k, tail, tau_sum",
+    [(7, 7, Q(1, 18), ZERO), (1, 44, ZERO, Q(3, 2))],
+)
+def test_tail_and_tau_chains_on_their_non_vacuous_instances(seed, k, tail, tau_sum):
+    # build_corpus("multi", seed)'s instance k: across the multi corpus at seeds
+    # 20260808, 1, 2, 3 and 7, the one instance with a positive core_tail tail
+    # and the one with a positive tau sum
+    inst = load_instance(str(DATA / f"multi-seed{seed}-{k:04d}.json"))
+    assert instance_to_dict(inst) == build_corpus("multi", seed)[k][1]
+    rep = check_multi(inst)
+    assert rep.failed == []
+    chain = {"tail_permit_event_probability", "tail_revenue_bound", "tail_within_half_mass",
+             "tail_two_rspp", "tau_sum_eight_rspp"}
+    assert chain <= set(rep.passed)
+    exa = ex_ante(inst, solve_profit_lp(inst).mechanism)
+    ct = core_tail(inst, exa.beta)
+    assert (ct.tail, sum(ct.tau, ZERO)) == (tail, tau_sum)
+    assert ct.tail > 0 or sum(ct.tau, ZERO) > 0
+    # the SPB chain stays vacuous here: no buyer has a positive bundle price
+    assert core_deltas(inst, exa.beta, ct) == (0, 0)
 
 
 def test_mc_reproducible_fails_when_reruns_differ(canonical, monkeypatch):
