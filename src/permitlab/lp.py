@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import truediv
 
 from .model import AuctionFeasibility, Instance
 from .rational import Q, ONE, ZERO
@@ -394,11 +395,12 @@ def dump_lp_text(model: ProfitLP, path: str):
     for j, c in sorted(lp.obj.items()):
         lines.append(term(c, j))
     lines.append("\nSubject To\n")
-    for r, (row, scale) in enumerate(zip(lp.rows, lp.scale)):
+    for r in range(len(lp.rows)):
+        row, b = lp.row(r, truediv)
         lines.append(f" r{r}: ")
-        for j, a in sorted(row.items()):
-            lines.append(term(a / scale, j))
-        lines.append(f"<= {lp.rhs[r] / scale}\n")
+        for j, c in sorted(row.items()):
+            lines.append(term(c, j))
+        lines.append(f"<= {b}\n")
     lines.append("End\n")
     with open(path, "w") as fh:
         fh.write("".join(lines))

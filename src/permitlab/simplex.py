@@ -75,12 +75,26 @@ class LinearProgram:
         rhs = Q(rhs)
         if rhs < 0:
             raise ValueError("rhs must be non-negative for the slack start")
-        terms = [(j, v.numerator, v.denominator) for j, v in coeffs.items() if v]
-        scale = lcm(rhs.denominator, *{d for _, _, d in terms})
+        b, e = _parts(rhs)
+        terms = [(j, *_parts(v)) for j, v in coeffs.items() if v]
+        scale = lcm(e, *{d for _, _, d in terms})
         self.rows.append({j: p * (scale // d) for j, p, d in terms})
-        self.rhs.append(rhs.numerator * (scale // rhs.denominator))
+        self.rhs.append(b * (scale // e))
         self.scale.append(scale)
         return len(self.rows) - 1
+
+    def row(self, r: int, ratio):
+        """Row r's entries and rhs in the number type of ratio(p, q), which
+        reads integer entry a as a / L_r: operator.truediv gives the correctly
+        rounded float of the rational entry, Q gives Q(a, L_r)."""
+        scale = self.scale[r]
+        return {j: ratio(a, scale) for j, a in self.rows[r].items()}, ratio(self.rhs[r], scale)
+
+
+def _parts(v) -> tuple:
+    """(numerator, denominator) of rational v as Python ints. gmpy2.mpq's parts
+    are mpz, whose true division gives an mpfr rather than a float."""
+    return int(v.numerator), int(v.denominator)
 
 
 @dataclass
@@ -126,8 +140,9 @@ def _rational(v: float) -> Q:
 
 def common_denominator(values: dict):
     """(D, {k: v * D}) with D the lcm of the rationals' denominators."""
-    d = lcm(*{v.denominator for v in values.values()})
-    return d, {k: v.numerator * (d // v.denominator) for k, v in values.items()}
+    parts = {k: _parts(v) for k, v in values.items()}
+    d = lcm(*{q for _, q in parts.values()})
+    return d, {k: p * (d // q) for k, (p, q) in parts.items()}
 
 
 def row_slacks(lp: LinearProgram, d: int, xs: dict, rows) -> list:
@@ -157,8 +172,9 @@ def _certified_optimum(lp: LinearProgram, primal: dict, duals: list):
         return None
     us = []  # y_r / L_r in lowest terms
     for y, scale in zip(duals, lp.scale):
-        g = gcd(y.numerator, scale)
-        us.append((y.numerator // g, y.denominator * (scale // g)))
+        p, q = _parts(y)
+        g = gcd(p, scale)
+        us.append((p // g, q * (scale // g)))
     e = lcm(*{den for _, den in us})
     us = [p * (e // den) for p, den in us]
     aty = {}  # col -> (A^T y)_col * E
@@ -178,19 +194,18 @@ def _certified_optimum(lp: LinearProgram, primal: dict, duals: list):
 
 
 def _tableau(lp: LinearProgram, ratio):
-    """The program's rows, rhs and objective in the number type of ratio(p, q),
-    which reads integer entry a of row r as a / L_r: operator.truediv gives the
-    correctly rounded float of the rational entry, Q gives Q(a, L_r). Rows run
-    over structural cols and slack cols (ncols + r)."""
+    """The program's rows, rhs and objective in the number type of ratio(p, q)
+    (see LinearProgram.row). Rows run over structural cols and slack cols
+    (ncols + r)."""
     ncols = lp.ncols
     one = ratio(1, 1)
-    rows = []
-    for r, (row, scale) in enumerate(zip(lp.rows, lp.scale)):
-        t = {j: ratio(a, scale) for j, a in row.items()}
+    rows, rhs = [], []
+    for r in range(len(lp.rows)):
+        t, b = lp.row(r, ratio)
         t[ncols + r] = one
         rows.append(t)
-    rhs = [ratio(b, scale) for b, scale in zip(lp.rhs, lp.scale)]
-    obj = {j: ratio(v.numerator, v.denominator) for j, v in lp.obj.items() if v}
+        rhs.append(b)
+    obj = {j: ratio(*_parts(v)) for j, v in lp.obj.items() if v}
     return rows, rhs, obj
 
 
@@ -234,13 +249,13 @@ def _simplex(lp: LinearProgram, ratio, tol, drop, max_iters=None):
         for r in range(nrows):
             a = rows[r].get(enter)
             if a is not None and a > tol:
-                ratio = rhs[r] / a
+                row_ratio = rhs[r] / a
                 if (
                     best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leave])
+                    or row_ratio < best_ratio
+                    or (row_ratio == best_ratio and basis[r] < basis[leave])
                 ):
-                    best_ratio = ratio
+                    best_ratio = row_ratio
                     leave = r
         if leave < 0:
             raise Unbounded(f"objective unbounded along column {enter}")

@@ -1,3 +1,5 @@
+from decimal import Decimal
+from fractions import Fraction
 from math import lcm
 from operator import truediv
 
@@ -247,3 +249,54 @@ def test_tampered_certificate_falls_back(monkeypatch, tamper):
     res = solve(lp)
     assert res.path == "exact"
     assert res.objective == 12 and res.primal == {0: 4}
+
+
+# -- a rational type whose parts are not Python ints ------------------------------
+
+
+class _Mpz(int):
+    """An int-like whose arithmetic stays in its own type and whose true
+    division is not a Python float, as gmpy2.mpz's gives an mpfr."""
+
+    def __truediv__(self, other):
+        return Decimal(int(self)) / int(other)
+
+    def __rtruediv__(self, other):
+        return Decimal(int(other)) / int(self)
+
+
+for _name in ("add", "sub", "mul", "floordiv"):
+    for _op in (f"__{_name}__", f"__r{_name}__"):
+        setattr(_Mpz, _op, lambda self, other, _f=getattr(int, _op): _Mpz(_f(self, other)))
+setattr(_Mpz, "__neg__", lambda self: _Mpz(-int(self)))
+
+
+class _Mpq(Fraction):
+    """A rational whose numerator and denominator are _Mpz, as gmpy2.mpq's are mpz."""
+
+    @property
+    def numerator(self):
+        return _Mpz(self._numerator)
+
+    @property
+    def denominator(self):
+        return _Mpz(self._denominator)
+
+
+def test_rational_parts_are_read_as_python_ints(monkeypatch):
+    monkeypatch.setattr(simplex, "Q", _Mpq)
+    lp = LinearProgram()
+    x = lp.add_col(_Mpq(1, 3))
+    y = lp.add_col(_Mpq(1, 7))
+    lp.add_row({x: _Mpq(2, 5), y: _Mpq(7, 4)}, _Mpq(1, 2))
+    lp.add_row({x: _Mpq(1), y: _Mpq(-1, 3)}, _Mpq(3, 10))
+    assert all(type(v) is int for v in lp.scale + lp.rhs)
+    assert all(type(a) is int for row in lp.rows for a in row.values())
+    t_rows, t_rhs, t_obj = simplex._tableau(lp, truediv)
+    floats = [*t_rhs, *t_obj.values(), *(v for row in t_rows for v in row.values())]
+    assert all(type(v) is float for v in floats)
+    d, xs = simplex.common_denominator({0: _Mpq(5, 6), 1: _Mpq(-1, 4)})
+    assert (d, xs) == (12, {0: 10, 1: -3}) and all(type(v) is int for v in (d, *xs.values()))
+    res = solve(lp)
+    assert res.path == "certified"
+    assert res.objective == simplex._simplex(lp, Fraction, 0, 0)[0]
