@@ -13,8 +13,12 @@ number of pairs in which the change was better, and the median change against
 the bound in the change's BENCHMARK.json. The summary's ``attempted`` entry
 gives each side's median and quartiles of operations run, since a 30 s run
 keeps every operation's record and its ``peak_rss_mb`` rises with their count.
-An existing output file keeps its other workloads; this workload's entry is
-replaced.
+Each run also keeps, from the ``detail`` of its ``perfbench/results`` file,
+its unscaled mean round (``round_s``) and the probe's scale (``scale``;
+``wall_s`` is their product), and the summary gives each side's median and
+quartiles of both, with the change in median: a scaled gain that the
+unscaled rounds do not show came from the probe. An existing output file
+keeps its other workloads; this workload's entry is replaced.
 """
 
 from __future__ import annotations
@@ -43,11 +47,15 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} failed:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    saved = checkout / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    detail = json.loads(saved.read_text())["detail"]
     return {
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         "attempted": result["attempted"],
         "failed": result["failed"],
         "correct": result["correct"],
+        "round_s": statistics.fmean(detail["round_s"]),
+        "scale": detail["scale"],
     }
 
 
@@ -83,6 +91,10 @@ def summarize(pairs: list, end_to_end: list) -> dict:
             "within_bound": (rel if lower else -rel) <= metric["bound"],
         }
     out["attempted"] = {side: spread([p[side]["attempted"] for p in pairs]) for side in SIDES}
+    for key in ("round_s", "scale"):
+        sides = {side: spread([p[side][key] for p in pairs]) for side in SIDES}
+        parent, change = sides["parent"]["median"], sides["change"]["median"]
+        out[key] = dict(sides, median_change=(change - parent) / parent)
     return out
 
 
@@ -107,7 +119,8 @@ def main(argv=None) -> int:
             print(
                 f"{args.workload} seed {seed} {side}: wall_s {m['wall_s']:.4f} "
                 f"setup_s {m['setup_s']:.4f} peak_rss_mb {m['peak_rss_mb']:.2f} "
-                f"attempted {pair[side]['attempted']}",
+                f"attempted {pair[side]['attempted']} round_s {pair[side]['round_s']:.4f} "
+                f"scale {pair[side]['scale']:.4f}",
                 flush=True,
             )
         pairs.append(pair)

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lp import DirectMechanism, _check_flow_conservation
-from .model import Instance, Thresholds, effective_price, vbar, vbar_single_table
+from .model import Instance, Thresholds, effective_price, surplus_table, vbar_single_table
 from .myerson import virtual_values
 from .rational import Q, ZERO, HALF
 
@@ -251,6 +251,7 @@ def core_tail(instance: Instance, beta: Thresholds) -> CoreTail:
     less = ZERO
     fav = {}
     for i in range(instance.n):
+        vb = surplus_table(instance, i, beta)
         for ti_idx, t_i in enumerate(instance.buyer_types(i)):
             f = instance.type_prob(i, t_i)
             mask = 0
@@ -261,10 +262,8 @@ def core_tail(instance: Instance, beta: Thresholds) -> CoreTail:
                 if j > 0 and tables[i][j][t_i[j]] > best_v:
                     best_j, best_v = j, tables[i][j][t_i[j]]
             fav[(i, ti_idx)] = mask
-            core += f * vbar(instance, i, t_i, mask, beta)
-            less += f * vbar(
-                instance, i, t_i, instance.full_mask() & ~(1 << best_j), beta
-            )
+            core += f * vb[ti_idx][mask]
+            less += f * vb[ti_idx][instance.full_mask() & ~(1 << best_j)]
     ct = CoreTail(tuple(taus), tail, core, less, fav)
     if less > tail + core:
         raise AssertionError("less-surplus exceeds tail + core")
@@ -357,28 +356,35 @@ def core_deltas(instance: Instance, beta: Thresholds, ct: CoreTail) -> tuple:
     """delta_i = half the (lower) median of the truncated surplus v(t, C(t))."""
     out = []
     for i in range(instance.n):
-        pairs = []
-        for ti_idx, t_i in enumerate(instance.buyer_types(i)):
-            pairs.append(
-                (
-                    vbar(instance, i, t_i, ct.favorite_masks[(i, ti_idx)], beta),
-                    instance.type_prob(i, t_i),
-                )
-            )
-        out.append(HALF * lower_median(pairs))
+        pairs = zip(_truncated_surplus(instance, i, beta, ct), instance.buyer_type_probs(i))
+        out.append(HALF * lower_median(list(pairs)))
     return tuple(out)
 
 
-def core_concentration_check(instance: Instance, beta: Thresholds, ct: CoreTail):
-    """Exact check of E[mu_i(t, full set)] <= 4 delta_i + (5/2) tau_i per buyer."""
-    deltas = core_deltas(instance, beta, ct)
+def _truncated_surplus(instance: Instance, i: int, beta: Thresholds, ct: CoreTail) -> list:
+    """v(t, C(t)) = mu_i(t, full set) per type of buyer i."""
+    return [
+        row[ct.favorite_masks[(i, ti_idx)]]
+        for ti_idx, row in enumerate(surplus_table(instance, i, beta))
+    ]
+
+
+def core_concentration_check(
+    instance: Instance, beta: Thresholds, ct: CoreTail, deltas: tuple
+):
+    """Exact check of E[mu_i(t, full set)] <= 4 delta_i + (5/2) tau_i per
+    buyer, for the deltas core_deltas gives."""
     out = []
     for i in range(instance.n):
-        mean = ZERO
-        for ti_idx, t_i in enumerate(instance.buyer_types(i)):
-            mean += instance.type_prob(i, t_i) * vbar(
-                instance, i, t_i, ct.favorite_masks[(i, ti_idx)], beta
-            )
+        mean = sum(
+            (
+                f * v
+                for f, v in zip(
+                    instance.buyer_type_probs(i), _truncated_surplus(instance, i, beta, ct)
+                )
+            ),
+            ZERO,
+        )
         bound = 4 * deltas[i] + Q(5, 2) * ct.tau[i]
         out.append(
             {
@@ -398,14 +404,24 @@ class BenchmarkReport:
     most_surplus: Q
     prophet: Q
     less_surplus: Q
-    tail: Q
-    core: Q
-    tau: tuple
-    delta: tuple
+    core_tail: CoreTail  # at the mechanism's thresholds
+    delta: tuple  # core_deltas of core_tail
 
     @property
     def total(self) -> Q:
         return self.most_surplus + self.prophet + self.less_surplus
+
+    @property
+    def tail(self) -> Q:
+        return self.core_tail.tail
+
+    @property
+    def core(self) -> Q:
+        return self.core_tail.core
+
+    @property
+    def tau(self) -> tuple:
+        return self.core_tail.tau
 
 
 def benchmark_terms(
@@ -422,18 +438,16 @@ def benchmark_terms(
     most = ZERO
     less = ZERO
     for i in range(instance.n):
-        types = instance.buyer_types(i)
+        vb = surplus_table(instance, i, beta)
         fp = instance.buyer_type_probs(i)
-        for ti_idx, t_i in enumerate(types):
+        for ti_idx in range(len(fp)):
             j = flow.labels[(i, ti_idx)]
             phi_j = flow.phi[(i, ti_idx)][j]
             for c_idx, (cvec, pc) in enumerate(instance.costs.atoms):
                 x = pi[i][ti_idx][c_idx][j]
                 if x:
                     most += fp[ti_idx] * pc * x * (phi_j - cvec[j])
-            less += fp[ti_idx] * vbar(
-                instance, i, t_i, instance.full_mask() & ~(1 << j), beta
-            )
+            less += fp[ti_idx] * vb[ti_idx][instance.full_mask() & ~(1 << j)]
 
     prophet = ZERO
     for (i, j, c_idx), qv in exa.q.items():
@@ -444,7 +458,7 @@ def benchmark_terms(
 
     ct = core_tail(instance, beta)
     deltas = core_deltas(instance, beta, ct)
-    report = BenchmarkReport(most, prophet, less, ct.tail, ct.core, ct.tau, deltas)
+    report = BenchmarkReport(most, prophet, less, ct, deltas)
     profit = mechanism.profit()
     if profit > report.total:
         raise AssertionError(

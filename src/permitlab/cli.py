@@ -25,6 +25,7 @@ ALL_SUITES = (
     "single_constrained",
     "properties",
     "multi",
+    "multi_2x3",
     "ocrs",
     "example",
     "single_item",

@@ -8,9 +8,14 @@ hiding and rationing coins exactly, and lets each buyer best-respond. Its
 first stage is one permit chooser: ``_permit_cands`` lists the (permit set,
 payment) pairs a buyer may buy and ``_choose_permits`` picks one by one tie
 rule; the auxiliary revenue mechanisms and search_best's permit grids reuse
-both with the surplus valuation vbar as the utility. Its second stage is one
-step per (buyer, cost atom), which the item-pricing searches reuse; Monte-Carlo
-reuses its eligibility rule and its stage-1 plan, without a full evaluation.
+both with the surplus valuation vbar as the utility, read from the instance's
+one surplus table (``model.surplus_table``), never recomputed per call. Its
+second stage is one step per (buyer, cost atom), which the item-pricing
+searches reuse; Monte-Carlo reuses its eligibility rule and its stage-1 plan,
+without a full evaluation. The evaluator's own stage-1 utility
+(``_expected_utility``) keeps its availability and coin enumeration, so that
+the permit reduction and search_best's final evaluate call compare the table
+with an independent path.
 
 Buyers buy on ties (zero-surplus purchases happen, larger bundles win ties);
 rationing at a price boundary is a seller-side coin granting eligibility
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, product
 
 from .benchmark import ExAnte, surplus_tables, willingness
-from .model import Instance, effective_price, iter_subsets, popcount, vbar
+from .model import Instance, effective_price, iter_subsets, popcount, surplus_table
 from .rational import Q, ZERO, ONE, HALF
 
 KINDS = ("IP", "PP", "PB", "CSIP", "RSPP", "SPB")
@@ -532,41 +537,12 @@ def construct_csip_from_copies(instance: Instance):
     tables = [
         [virtual_values(instance.dists[i][j]) for j in range(m)] for i in range(n)
     ]
-    for c_idx, (cvec, _) in enumerate(instance.costs.atoms):
+    for c_idx in range(len(instance.costs)):
         sub_fam = sub[c_idx] if sub else None
-        thresholds = sorted(
-            {
-                tables[i][j].ironed[k] - cvec[j]
-                for i in range(n)
-                for j in range(m)
-                for k in range(len(instance.dists[i][j]))
-                if tables[i][j].ironed[k] - cvec[j] > 0
-            }
-        )
-        candidates = []
-        for theta in thresholds:
-            vec = []
-            for i in range(n):
-                row = []
-                for j in range(m):
-                    d = instance.dists[i][j]
-                    p = None
-                    for k, t in enumerate(d.support):
-                        if tables[i][j].ironed[k] - cvec[j] >= theta:
-                            p = t
-                            break
-                    row.append(p if p is not None else d.support[-1] + 1)
-                vec.append(tuple(row))
-            candidates.append(tuple(vec))
-        # per-item monopoly vector as a further candidate
-        candidates.append(
-            tuple(
-                tuple(_monopoly_price(instance.dists[i][j], cvec[j]) for j in range(m))
-                for i in range(n)
-            )
-        )
         best_vec, best_profit = None, None
-        for vec in candidates:
+        # a repeated vector is scored once: the first best is kept on ties,
+        # so dropping its later copies leaves the choice as it was
+        for vec in dict.fromkeys(_copies_candidates(instance, tables, c_idx)):
             pf = _ip_atom_profit(instance, vec, c_idx, sub_fam)
             if best_profit is None or pf > best_profit:
                 best_vec, best_profit = vec, pf
@@ -576,6 +552,47 @@ def construct_csip_from_copies(instance: Instance):
     return MechanismSpec(
         kind, prices, sub_constraint=sub, order=order, note="copies threshold markup"
     )
+
+
+def _copies_candidates(instance: Instance, tables, c_idx: int) -> list:
+    """The candidate price vectors (one row per buyer) of one cost atom, in
+    scoring order, repeats included: for each positive ironed virtual surplus
+    theta, ascending, every item priced at the lowest support value whose
+    ironed virtual surplus reaches theta (never-sell when none does); then the
+    per-item monopoly vector."""
+    n, m = instance.n, instance.m
+    cvec = instance.costs.vector(c_idx)
+    thresholds = sorted(
+        {
+            tables[i][j].ironed[k] - cvec[j]
+            for i in range(n)
+            for j in range(m)
+            for k in range(len(instance.dists[i][j]))
+            if tables[i][j].ironed[k] - cvec[j] > 0
+        }
+    )
+    candidates = []
+    for theta in thresholds:
+        vec = []
+        for i in range(n):
+            row = []
+            for j in range(m):
+                d = instance.dists[i][j]
+                p = None
+                for k, t in enumerate(d.support):
+                    if tables[i][j].ironed[k] - cvec[j] >= theta:
+                        p = t
+                        break
+                row.append(p if p is not None else d.support[-1] + 1)
+            vec.append(tuple(row))
+        candidates.append(tuple(vec))
+    candidates.append(
+        tuple(
+            tuple(_monopoly_price(instance.dists[i][j], cvec[j]) for j in range(m))
+            for i in range(n)
+        )
+    )
+    return candidates
 
 
 def _beta_price_table(instance: Instance, exa: ExAnte):
@@ -682,8 +699,8 @@ def _aux_posted(instance: Instance, spec: MechanismSpec, **prices) -> AuxMechani
     surplus valuation vbar is the second-stage utility (n = 1)."""
     cands = _permit_cands(instance, 0, spec)
     alloc, payment = {}, {}
-    for ti_idx, t_i in enumerate(instance.buyer_types(0)):
-        pm, pay = _choose_permits(cands, lambda p: vbar(instance, 0, t_i, p))
+    for ti_idx, row in enumerate(surplus_table(instance, 0)):
+        pm, pay = _choose_permits(cands, row.__getitem__)
         alloc[ti_idx] = ((pm, ONE),)
         payment[ti_idx] = pay
     return AuxMechanism(instance, alloc, payment, **prices)
@@ -704,14 +721,12 @@ def aux_grand_bundle(instance: Instance, delta) -> AuxMechanism:
 def check_aux_truthful(aux: AuxMechanism):
     """Exhaustive one-buyer truthfulness and IR of the auxiliary mechanism
     under the surplus valuation."""
-    inst = aux.instance
-    types = inst.buyer_types(0)
+    types = surplus_table(aux.instance, 0)
 
     def util(ti_idx, rep_idx):
-        t_i = types[ti_idx]
         u = -aux.payment.get(rep_idx, ZERO)
         for mask, pr in aux.alloc.get(rep_idx, ((0, ONE),)):
-            u += pr * vbar(inst, 0, t_i, mask)
+            u += pr * types[ti_idx][mask]
         return u
 
     for ti_idx in range(len(types)):
@@ -769,32 +784,32 @@ def default_grid(instance: Instance, kind: str):
                 vals.add(top + 1)  # never-sell price
                 grids[(j, c_idx)] = tuple(sorted(vals))
         return grids
+    if kind not in ("PP", "PB"):
+        raise ValueError(f"no default grid for kind {kind}")
+    table = surplus_table(instance, 0)
     if kind == "PP":
         grids = {}
         for j in range(instance.m):
             vals = {ZERO}
-            for t_i in instance.buyer_types(0):
-                base = instance.full_mask() & ~(1 << j)
-                for sub in (0, base):
-                    gain = vbar(instance, 0, t_i, sub | (1 << j)) - vbar(
-                        instance, 0, t_i, sub
-                    )
+            for row in table:
+                for sub in (0, instance.full_mask() & ~(1 << j)):
+                    gain = row[sub | (1 << j)] - row[sub]
                     if gain > 0:
                         vals.add(gain)
             grids[j] = tuple(sorted(vals))
         return grids
-    if kind == "PB":
-        vals = {ZERO}
-        for t_i in instance.buyer_types(0):
-            vals.add(vbar(instance, 0, t_i, instance.full_mask()))
-        return tuple(sorted(vals))
-    raise ValueError(f"no default grid for kind {kind}")
+    return tuple(sorted({ZERO} | {row[instance.full_mask()] for row in table}))
 
 
 def search_best(instance: Instance, kind: str, guard: int = 1_000_000):
     """Best mechanism of the family on the default candidate grid. Exact family
     optimum for PB and for additive IP / PP; a certified grid optimum (lower
-    bound on the family optimum) otherwise."""
+    bound on the family optimum) otherwise.
+
+    The PP and PB grids are scored from the instance's surplus table (items
+    sell at cost, so a spec's profit is the stage-1 revenue of each type's
+    best permit set under vbar); the winner is evaluated once, and evaluate
+    must agree with its score."""
     if instance.n != 1:
         raise ValueError("search_best covers the single-buyer families")
     if kind not in ("IP", "PP", "PB"):
@@ -863,10 +878,7 @@ def search_best(instance: Instance, kind: str, guard: int = 1_000_000):
         )
     # items sell at cost, so each type's utility for a permit set is vbar
     # whatever the permit prices, and a spec's profit is its stage-1 revenue
-    utility = [
-        [vbar(instance, 0, t_i, pm) for pm in range(1 << m)]
-        for t_i in instance.buyer_types(0)
-    ]
+    utility = surplus_table(instance, 0)
     best_profit, best_spec = max(
         ((_stage1_revenue(instance, utility, s), s) for s in specs), key=lambda x: x[0]
     )

@@ -498,16 +498,79 @@ def supporting_prices(instance: Instance, i: int, t_i, prices, available: int):
     )
 
 
-def vbar(instance: Instance, i: int, t_i, permit_set: int, beta=None) -> Q:
-    """Expected second-stage surplus from permit set P at prices max(beta, cost)."""
-    total = ZERO
-    for c_idx, (_, pc) in enumerate(instance.costs.atoms):
-        prices = tuple(
-            effective_price(instance, beta, i, j, c_idx) for j in range(instance.m)
+def surplus_table(instance: Instance, i: int, beta=None) -> tuple:
+    """table[k][P]: vbar(t, P; beta) for buyer i's k-th type t (in
+    buyer_types order) and every permit mask P.
+
+    Built once per (instance, buyer, thresholds) and kept in the instance's
+    cache, so it lives and dies with the instance; beta=None and
+    Thresholds.zero are separate keys with equal values.
+    """
+    key = ("vbar", i, beta)  # hashes beta once per fetch
+    table = instance._cache.get(key)
+    if table is None:
+        prices = _price_rows(instance, i, beta)
+        table = instance._cache[key] = tuple(
+            _surplus_row(instance, i, t_i, prices) for t_i in instance.buyer_types(i)
         )
-        weights = tuple(t_i[j] - prices[j] for j in range(instance.m))
-        total += pc * instance.families[i].max_weight_value(weights, permit_set)
-    return total
+    return table
+
+
+def _price_rows(instance: Instance, i: int, beta) -> tuple:
+    """Per cost atom: the atom's probability and buyer i's prices max(beta, cost)."""
+    return tuple(
+        (pc, tuple(effective_price(instance, beta, i, j, c_idx) for j in range(instance.m)))
+        for c_idx, (_, pc) in enumerate(instance.costs.atoms)
+    )
+
+
+def _surplus_row(instance: Instance, i: int, t_i, prices) -> tuple:
+    """vbar(t_i, P) for every permit mask P, in one pass per cost atom: the
+    weight t_i - price of each family member, built from the member minus its
+    lowest item (a member too, the family being downward-closed, and earlier in
+    the ascending member list), then the best weight of a member inside each
+    mask by a subset-max transform, one item at a time. Non-members start at
+    0, which the empty member scores anyway."""
+    m = instance.m
+    members = instance.families[i].members()
+    size = 1 << m
+    row = [ZERO] * size
+    for pc, price in prices:
+        w = [t_i[j] - price[j] for j in range(m)]
+        best = [ZERO] * size
+        for s in members[1:]:
+            low = s & -s
+            best[s] = best[s ^ low] + w[low.bit_length() - 1]
+        for j in range(m):
+            bit = 1 << j
+            for s in range(size):
+                if s & bit and best[s ^ bit] > best[s]:
+                    best[s] = best[s ^ bit]
+        for s in range(1, size):
+            if best[s]:
+                row[s] += pc * best[s]
+    return tuple(row)
+
+
+def _vbar_row(instance: Instance, i: int, t_i, beta) -> tuple:
+    """The surplus table's row of type t_i; a fresh row when t_i is not one of
+    buyer i's types."""
+    key = ("type_index", i)
+    index = instance._cache.get(key)
+    if index is None:
+        index = instance._cache[key] = {t: k for k, t in enumerate(instance.buyer_types(i))}
+    k = index.get(tuple(t_i))
+    if k is None:
+        return _surplus_row(instance, i, t_i, _price_rows(instance, i, beta))
+    return surplus_table(instance, i, beta)[k]
+
+
+def vbar(instance: Instance, i: int, t_i, permit_set: int, beta=None) -> Q:
+    """Expected second-stage surplus from permit set P at prices max(beta, cost):
+    the sum over cost atoms of the atom's probability times the best weight
+    t_i - price of a family member inside P. Read from surplus_table; a caller
+    looping over types should fetch the table once and index it."""
+    return _vbar_row(instance, i, t_i, beta)[permit_set & instance.full_mask()]
 
 
 def vbar_single(instance: Instance, i: int, j: int, t_ij, beta=None) -> Q:
@@ -535,16 +598,17 @@ def vbar_single_table(instance: Instance, i: int, j: int, beta=None) -> dict:
 
 
 def favorite_set(instance: Instance, i: int, t_i, tau_i, beta=None) -> int:
-    """C_i(t_i): items whose single-permit surplus is at most tau_i."""
-    mask = 0
-    for j in range(instance.m):
-        if vbar_single(instance, i, j, t_i[j], beta) <= tau_i:
-            mask |= 1 << j
-    return mask
+    """C_i(t_i): items whose single-permit surplus vbar(t_i, {j}) is at most tau_i."""
+    return _favorites(_vbar_row(instance, i, t_i, beta), instance.m, tau_i)
+
+
+def _favorites(row, m: int, tau_i) -> int:
+    return sum(1 << j for j in range(m) if row[1 << j] <= tau_i)
 
 
 def mu(instance: Instance, i: int, t_i, item_set: int, beta, tau_i) -> Q:
     """Truncated surplus valuation: vbar restricted to C_i(t_i) within the set."""
     if tau_i < 0:
         raise ValueError("tau must be non-negative")
-    return vbar(instance, i, t_i, favorite_set(instance, i, t_i, tau_i, beta) & item_set, beta)
+    row = _vbar_row(instance, i, t_i, beta)
+    return row[_favorites(row, instance.m, tau_i) & item_set]

@@ -18,7 +18,7 @@ from itertools import permutations
 from .benchmark import (
     benchmark_terms,
     core_concentration_check,
-    core_deltas,
+    core_deltas,  # unused here, but perfbench/tracing.py wraps suites.core_deltas
     core_tail,
     ex_ante,
     rspp_tail_thresholds,
@@ -44,11 +44,12 @@ from .model import (
     AuctionFeasibility,
     Instance,
     Thresholds,
+    effective_price,
     mu,
+    popcount,
     stage2_utility,
     supporting_prices,
-    vbar,
-    popcount,
+    surplus_table,
 )
 from .myerson import copies_opt_additive, copies_opt_ud, copies_opt_ud_multi, virtual_values
 from .ocrs import (
@@ -314,40 +315,31 @@ def check_properties(instance: Instance, beta_seed: int = 0) -> InstanceReport:
         ct = core_tail(instance, ths)
         for i in range(instance.n):
             types = instance.buyer_types(i)
-            table = {}
-            mu_table = {}
-            for t_i in types:
-                for s in range(full + 1):
-                    table[(t_i, s)] = vbar(instance, i, t_i, s, ths)
-                    mu_table[(t_i, s)] = mu(instance, i, t_i, s, ths, ct.tau[i])
+            # per type index k: vbar and mu at every item mask
+            table = surplus_table(instance, i, ths)
+            mu_table = [
+                tuple(mu(instance, i, t_i, s, ths, ct.tau[i]) for s in range(full + 1))
+                for t_i in types
+            ]
             ok_mono = ok_sub = ok_ext = ok_mu = ok_lip = True
-            for t_i in types:
+            for vb, mb in zip(table, mu_table):
                 for u_set in range(full + 1):
                     for v_set in range(full + 1):
                         if u_set | v_set == v_set and not (
-                            table[(t_i, u_set)] <= table[(t_i, v_set)]
-                            and mu_table[(t_i, u_set)] <= mu_table[(t_i, v_set)]
+                            vb[u_set] <= vb[v_set] and mb[u_set] <= mb[v_set]
                         ):
                             ok_mono = False
-                        if not (
-                            table[(t_i, u_set | v_set)]
-                            <= table[(t_i, u_set)] + table[(t_i, v_set)]
-                        ):
+                        if not vb[u_set | v_set] <= vb[u_set] + vb[v_set]:
                             ok_sub = False
-                        if not (
-                            mu_table[(t_i, u_set | v_set)]
-                            <= mu_table[(t_i, u_set)] + mu_table[(t_i, v_set)]
-                        ):
+                        if not mb[u_set | v_set] <= mb[u_set] + mb[v_set]:
                             ok_mu = False
-            for t_a in types:
-                for t_b in types:
+            for a, t_a in enumerate(types):
+                for b, t_b in enumerate(types):
                     for s in range(full + 1):
                         if all(
                             t_a[j] == t_b[j] for j in range(instance.m) if (s >> j) & 1
                         ):
-                            if table[(t_a, s)] != table[(t_b, s)] or mu_table[
-                                (t_a, s)
-                            ] != mu_table[(t_b, s)]:
+                            if table[a][s] != table[b][s] or mu_table[a][s] != mu_table[b][s]:
                                 ok_ext = False
                     for x_set in range(full + 1):
                         for y_set in range(full + 1):
@@ -356,7 +348,7 @@ def check_properties(instance: Instance, beta_seed: int = 0) -> InstanceReport:
                                 for j in range(instance.m)
                                 if ((x_set & y_set) >> j) & 1 and t_a[j] != t_b[j]
                             )
-                            gap = mu_table[(t_a, x_set)] - mu_table[(t_b, y_set)]
+                            gap = mu_table[a][x_set] - mu_table[b][y_set]
                             if gap < 0:
                                 gap = -gap
                             if gap > ct.tau[i] * delta:
@@ -393,8 +385,6 @@ def _random_beta(instance: Instance, rng) -> Thresholds:
 
 
 def _xos_certificate_ok(instance: Instance, i: int, ths: Thresholds) -> bool:
-    from .model import effective_price
-
     full = instance.full_mask()
     for t_i in instance.buyer_types(i):
         for c_idx in range(len(instance.costs)):
@@ -420,12 +410,10 @@ def _xos_certificate_ok(instance: Instance, i: int, ths: Thresholds) -> bool:
 
 
 def _vbar_stage2_consistent(instance: Instance, i: int, ths: Thresholds) -> bool:
-    from .model import effective_price
-
     full = instance.full_mask()
-    for t_i in instance.buyer_types(i):
+    for t_i, row in zip(instance.buyer_types(i), surplus_table(instance, i, ths)):
         for p_set in range(full + 1):
-            direct = vbar(instance, i, t_i, p_set, ths)
+            direct = row[p_set]
             total = ZERO
             for c_idx, (_, pc) in enumerate(instance.costs.atoms):
                 prices = tuple(
@@ -447,7 +435,7 @@ def check_multi(instance: Instance) -> InstanceReport:
     opt = sol.objective
     exa = ex_ante(instance, sol.mechanism)
     bench = benchmark_terms(instance, sol.mechanism, exa)
-    ct = core_tail(instance, exa.beta)
+    ct, deltas = bench.core_tail, bench.delta
     rep.values.update(
         opt_profit=opt,
         most_surplus=bench.most_surplus,
@@ -574,11 +562,10 @@ def check_multi(instance: Instance) -> InstanceReport:
         sum(ct.tau, ZERO) <= 8 * rspp_profit,
         f"{sum(ct.tau, ZERO)} > 8*{rspp_profit}",
     )
-    deltas = core_deltas(instance, exa.beta, ct)
     spb_spec = construct_spb_core(instance, exa, deltas)
     spb_res = evaluate(instance, spb_spec)
     rep.values["spb"] = spb_res.profit
-    conc = core_concentration_check(instance, exa.beta, ct)
+    conc = core_concentration_check(instance, exa.beta, ct, deltas)
     rep.require(
         "core_concentration",
         all(row["holds"] for row in conc),
@@ -807,6 +794,11 @@ SUITE_RECIPES = {
     "multi": dict(
         check="multi", count=50, n_min=2, n_max=2, m_min=2, m_max=2,
         max_support=3, max_atoms=2, families="matroid",
+    ),
+    # the two-buyer, three-item chain, kept apart so "multi" keeps its instances
+    "multi_2x3": dict(
+        check="multi", count=40, n_min=2, n_max=2, m_min=3, m_max=3,
+        max_support=2, max_atoms=2, families="matroid",
     ),
     "single_item": dict(
         check="single_item", count=50, n_max=1, m_max=1, max_support=3,

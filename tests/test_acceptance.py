@@ -50,6 +50,11 @@ def s_multi():
 
 
 @pytest.fixture(scope="module")
+def s_multi_2x3():
+    return run_suite("multi_2x3", seed=SEED, count=40, workers=WORKERS)
+
+
+@pytest.fixture(scope="module")
 def s_single_item():
     return run_suite("single_item", seed=SEED, count=50, workers=WORKERS)
 
@@ -125,11 +130,16 @@ def test_criterion_06_valuation_properties(s_properties):
     assert ok, s_properties["failures"][:5]
 
 
-def test_criterion_07_multi_buyer_chain(s_multi):
-    ok = s_multi["all_passed"] and s_multi["instances"] >= 50
+def test_criterion_07_multi_buyer_chain(s_multi, s_multi_2x3):
+    # two items (multi) and three items (multi_2x3) per buyer
+    ok = (
+        s_multi["all_passed"] and s_multi["instances"] >= 50
+        and s_multi_2x3["all_passed"] and s_multi_2x3["instances"] >= 40
+    )
     _line(7, "two-buyer chain: 6x / 8x / 2x / (8,20)x and composed 44x", ok,
-          f"- {s_multi['passed_instances']}/{s_multi['instances']} clean")
-    assert ok, s_multi["failures"][:5]
+          f"- {s_multi['passed_instances']}/{s_multi['instances']} (2 items), "
+          f"{s_multi_2x3['passed_instances']}/{s_multi_2x3['instances']} (3 items) clean")
+    assert ok, (s_multi["failures"] + s_multi_2x3["failures"])[:5]
 
 
 def test_criterion_08_ocrs_certification():

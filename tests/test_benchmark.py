@@ -123,8 +123,10 @@ def test_core_deltas_median_example(two_iid_items):
 def test_concentration_check(two_iid_items):
     zero = Thresholds.zero(two_iid_items)
     ct = core_tail(two_iid_items, zero)
-    rows = core_concentration_check(two_iid_items, zero, ct)
+    deltas = core_deltas(two_iid_items, zero, ct)
+    rows = core_concentration_check(two_iid_items, zero, ct, deltas)
     assert all(r["holds"] for r in rows)
+    assert tuple(r["delta"] for r in rows) == deltas
 
 
 def test_benchmark_terms_cover_profit(canonical):

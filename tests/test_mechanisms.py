@@ -38,7 +38,7 @@ from permitlab.model import (
     UnitDemandPairs,
     iter_subsets,
     popcount,
-    vbar,
+    stage2_utility,
 )
 from permitlab.myerson import copies_opt_additive, copies_opt_ud
 from permitlab.oracles import _is_additive, brute_posted_price_opt
@@ -314,6 +314,53 @@ def test_construct_price_prefers_higher_at_ties():
     assert evaluate(inst, spec).profit == 1
 
 
+def test_copies_construction_scores_each_vector_once_as_the_old_loop_chose():
+    # construct_csip_from_copies scores each distinct candidate vector once
+    # per atom; the old loop scored every candidate, repeats included, and
+    # kept the first best. Both must pick the same vector on every atom.
+    from unittest import mock
+
+    from permitlab import mechanisms
+    from permitlab.myerson import virtual_values
+
+    repeats = 0
+    for seed in range(36):
+        inst = random_instance(
+            seed, n_min=1 + seed % 2, n_max=1 + seed % 2, m_max=2, max_support=3,
+            max_atoms=2, families=("matroid", "downward", "mixed")[seed % 3],
+        )
+        if inst.n == 1 and mechanisms._additive_family(inst):
+            continue
+        scored = []
+        real = mechanisms._ip_atom_profit
+
+        def recording(instance, vec, c_idx, sub_fam):
+            scored.append((c_idx, vec))
+            return real(instance, vec, c_idx, sub_fam)
+
+        with mock.patch.object(mechanisms, "_ip_atom_profit", recording):
+            spec = construct_csip_from_copies(inst)
+        assert len(scored) == len(set(scored))
+
+        tables = [[virtual_values(d) for d in row] for row in inst.dists]
+        sub_fam = UnitDemandPairs(AuctionFeasibility(inst)) if inst.n > 1 else None
+        for c_idx in range(len(inst.costs)):
+            cands = mechanisms._copies_candidates(inst, tables, c_idx)
+            assert {vec for c, vec in scored if c == c_idx} == set(cands)
+            repeats += len(cands) - len(set(cands))
+            best_vec, best_profit = None, None
+            for vec in cands:
+                pf = real(inst, vec, c_idx, sub_fam)
+                if best_profit is None or pf > best_profit:
+                    best_vec, best_profit = vec, pf
+            assert all(
+                spec.item_prices[(i, j, c_idx)] == best_vec[i][j]
+                for i in range(inst.n)
+                for j in range(inst.m)
+            )
+    assert repeats > 0  # the corpus has repeated candidates to drop
+
+
 @st.composite
 def _one_buyer_instances(draw):
     m = draw(st.integers(1, 3))
@@ -337,6 +384,18 @@ def _one_buyer_instances(draw):
     return Instance(1, m, base.dists, base.costs, (family,), name=f"{kind}-{base.name}")
 
 
+def _scanned_vbar(instance, t_i, permit_set):
+    """vbar(t_i, P) of the one buyer, computed per mask by a member scan at
+    each cost atom (stage2_utility), not read from the surplus table."""
+    return sum(
+        (
+            pc * stage2_utility(instance, 0, t_i, cvec, permit_set)[0]
+            for cvec, pc in instance.costs.atoms
+        ),
+        ZERO,
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(_one_buyer_instances())
 def test_tabulated_permit_revenue_matches_evaluate_and_aux(inst):
@@ -348,7 +407,7 @@ def test_tabulated_permit_revenue_matches_evaluate_and_aux(inst):
 
     m, n_atoms = inst.m, len(inst.costs)
     types = inst.buyer_types(0)
-    utility = [[vbar(inst, 0, t_i, pm) for pm in range(1 << m)] for t_i in types]
+    utility = [[_scanned_vbar(inst, t_i, pm) for pm in range(1 << m)] for t_i in types]
     everything = AvailabilityModel(inst, [{inst.full_mask(): ONE}] * n_atoms, [[ONE] * m] * n_atoms)
     grid = default_grid(inst, "PP")
     points = [("PP", combo) for combo in product(*(grid[j] for j in range(m)))]
@@ -367,9 +426,9 @@ def test_tabulated_permit_revenue_matches_evaluate_and_aux(inst):
 
 
 def _pp_by_evaluate(instance, order):
-    """The permit grid from vbar's marginal gains, each grid point scored by
-    one full evaluate call: the slow reference for the oracle's table-scored
-    PP branch. Returns (best profit, grid points)."""
+    """The permit grid from vbar's marginal gains (by member scan), each grid
+    point scored by one full evaluate call: the slow reference for the
+    oracle's table-scored PP branch. Returns (best profit, grid points)."""
     from permitlab.mechanisms import _pp_spec
 
     m = instance.m
@@ -379,7 +438,9 @@ def _pp_by_evaluate(instance, order):
         for t_i in instance.buyer_types(0):
             for sub in range(1 << m):
                 if not (sub >> j) & 1:
-                    gain = vbar(instance, 0, t_i, sub | (1 << j)) - vbar(instance, 0, t_i, sub)
+                    gain = _scanned_vbar(instance, t_i, sub | (1 << j)) - _scanned_vbar(
+                        instance, t_i, sub
+                    )
                     if gain > 0:
                         vals.add(gain)
         grids.append(sorted(vals, reverse=order == "descending"))

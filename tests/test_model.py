@@ -1,3 +1,7 @@
+import gc
+import weakref
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +18,7 @@ from permitlab.model import (
     mu,
     stage2_utility,
     supporting_prices,
+    surplus_table,
     value,
     vbar,
     vbar_single,
@@ -188,3 +193,132 @@ def test_greedy_matches_exhaustive_on_matroids(inst):
     for t in inst.buyer_types(0):
         for allowed in range(inst.full_mask() + 1):
             assert fam.max_weight_value(t, allowed) == fam.max_weight_set(t, allowed)[0]
+
+
+def _scanned_table(inst, i, beta):
+    """vbar of every (type, permit mask) of buyer i by a scan of all item sets
+    through the family's membership test, with max(beta, cost) written out."""
+    m = inst.m
+    out = []
+    for t in product(*(d.support for d in inst.dists[i])):
+        row = []
+        for pmask in range(1 << m):
+            total = ZERO
+            for c_idx, (cvec, pc) in enumerate(inst.costs.atoms):
+                prices = [
+                    max(cvec[j], ZERO if beta is None else beta.values[i][j][c_idx])
+                    for j in range(m)
+                ]
+                best = ZERO
+                for s in range(1 << m):
+                    if s & ~pmask or not inst.families[i].contains(s):
+                        continue
+                    w = sum((t[j] - prices[j] for j in range(m) if (s >> j) & 1), ZERO)
+                    best = max(best, w)
+                total += pc * best
+            row.append(total)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _nonmatroid_family(m):
+    """Members {0, 1} and {2} with their subsets (m = 3): {2} cannot grow
+    from the larger {0, 1}, so the exchange axiom fails."""
+    return ExplicitFamily(m, (0b011, 0b001, 0b010, 0b100))
+
+
+@st.composite
+def table_cases(draw):
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 3))
+    dists = []
+    for _ in range(n):
+        row = []
+        for _ in range(m):
+            k = draw(st.integers(1, 2))
+            vals = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k, unique=True))
+            row.append(DiscreteDist(tuple(sorted(vals)), (Q(1, k),) * k))
+        dists.append(tuple(row))
+    n_atoms = draw(st.integers(1, 2))
+    vecs = draw(
+        st.lists(
+            st.tuples(*(st.integers(0, 3) for _ in range(m))),
+            min_size=n_atoms, max_size=n_atoms, unique=True,
+        )
+    )
+    costs = CostModel(tuple((v, Q(1, n_atoms)) for v in vecs))
+    families = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("uniform", "nonmatroid", "explicit")))
+        if kind == "uniform":
+            families.append(UniformMatroid(m, draw(st.integers(0, m))))
+        elif kind == "nonmatroid" and m == 3:
+            families.append(_nonmatroid_family(m))
+        else:
+            top = draw(st.integers(0, (1 << m) - 1))
+            families.append(ExplicitFamily(m, [s for s in range(1 << m) if s & ~top == 0]))
+    inst = Instance(n, m, tuple(dists), costs, tuple(families))
+    beta = None
+    if draw(st.booleans()):
+        beta = Thresholds(
+            tuple(
+                tuple(
+                    tuple(Q(draw(st.integers(0, 6)), draw(st.integers(1, 2))) for _ in vecs)
+                    for _ in range(m)
+                )
+                for _ in range(n)
+            )
+        )
+    return inst, beta
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_cases())
+def test_surplus_table_matches_a_member_scan(case):
+    inst, beta = case
+    for i in range(inst.n):
+        table = surplus_table(inst, i, beta)
+        assert table == _scanned_table(inst, i, beta)
+        assert surplus_table(inst, i, beta) is table  # built once, then read
+        for k, t in enumerate(inst.buyer_types(i)):
+            for pmask in range(inst.full_mask() + 1):
+                assert vbar(inst, i, t, pmask, beta) == table[k][pmask]
+
+
+def test_surplus_table_on_a_nonmatroid_family_with_thresholds():
+    d = DiscreteDist((1, 3), (Q(1, 2), Q(1, 2)))
+    costs = CostModel((((0, 1, 2), Q(1, 3)), ((1, 0, 0), Q(2, 3))))
+    inst = Instance(1, 3, ((d, d, d),), costs, (_nonmatroid_family(3),))
+    assert not inst.families[0].is_matroid
+    beta = Thresholds(((((Q(2), Q(0)), (Q(1, 2), Q(5, 2)), (Q(0), Q(3))),)))
+    for b in (None, beta, Thresholds.zero(inst)):
+        assert surplus_table(inst, 0, b) == _scanned_table(inst, 0, b)
+    # the full set is not a member; at type (3, 3, 3) the best member inside
+    # it is {0, 1} on both atoms: weights (3, 2, 1) and (2, 3, 3) at cost, and
+    # (1, 2, 1) and (2, 1/2, 0) at max(beta, cost); {2} alone earns less
+    top = inst.buyer_types(0)[-1]
+    assert vbar(inst, 0, top, 0b111) == 5
+    assert vbar(inst, 0, top, 0b111, beta) == Q(1, 3) * 3 + Q(2, 3) * Q(5, 2)
+    assert vbar(inst, 0, top, 0b100, beta) == Q(1, 3)
+    assert vbar(inst, 0, top, 0b100) == Q(1, 3) + Q(2, 3) * 3
+
+
+def test_vbar_of_a_vector_outside_the_support():
+    # not a type of the buyer: computed afresh, and nothing is cached for it
+    d = DiscreteDist((1, 2), (Q(1, 2), Q(1, 2)))
+    inst = make_single((d,), (((0,), 1),), UniformMatroid(1, 1))
+    assert vbar(inst, 0, (Q(7),), 0b1) == 7
+    assert surplus_table(inst, 0) == ((ZERO, Q(1)), (ZERO, Q(2)))
+
+
+def test_surplus_table_is_freed_with_its_instance():
+    # the table lives in the instance's own cache: once the instance goes, the
+    # thresholds keying its table go too, so no other cache holds the table
+    d = DiscreteDist((1, 2), (Q(1, 2), Q(1, 2)))
+    inst = make_single((d, d), (((0, 1), 1),), UniformMatroid(2, 1))
+    beta = Thresholds(((((Q(1),), (Q(0),))),))
+    assert surplus_table(inst, 0, beta)[-1][0b11] == 1
+    refs = weakref.ref(inst), weakref.ref(beta)
+    del inst, beta
+    gc.collect()
+    assert [r() for r in refs] == [None, None]

@@ -33,6 +33,11 @@ def test_multi_recipe_shapes():
         inst = instance_from_dict(payload)
         assert inst.n == 2 and inst.m == 2
         assert all(f.is_matroid for f in inst.families)
+    for _, payload, _ in build_corpus("multi_2x3", seed=1, count=5):
+        inst = instance_from_dict(payload)
+        assert inst.n == 2 and inst.m == 3 and len(inst.costs) <= 2
+        assert all(len(d) <= 2 for row in inst.dists for d in row)
+        assert all(f.is_matroid for f in inst.families)
 
 
 def test_empty_suite():
@@ -154,7 +159,7 @@ def test_check_multi_failure_details(monkeypatch):
     # force the order sweeps, the tail permit events, the bundle acceptance
     # and the core concentration to fail, and read what each failure names;
     # the swapped-order specs must keep every field but the order
-    from dataclasses import fields
+    from dataclasses import fields, replace
 
     from permitlab import suites
 
@@ -171,12 +176,16 @@ def test_check_multi_failure_details(monkeypatch):
             res.bundle_pay_prob = {}
         return res
 
-    def refuted(instance, beta, ct):
-        return [dict(row, holds=False) for row in real_conc(instance, beta, ct)]
+    def refuted(instance, beta, ct, deltas):
+        assert deltas == (Q(1), Q(1))  # the deltas of benchmark_terms, passed through
+        return [dict(row, holds=False) for row in real_conc(instance, beta, ct, deltas)]
 
-    real_conc = suites.core_concentration_check
+    def priced(instance, mechanism, exa):
+        return replace(real_terms(instance, mechanism, exa), delta=(Q(1), Q(1)))
+
+    real_conc, real_terms = suites.core_concentration_check, suites.benchmark_terms
     monkeypatch.setattr(suites, "evaluate", starved)
-    monkeypatch.setattr(suites, "core_deltas", lambda instance, beta, ct: (Q(1), Q(1)))
+    monkeypatch.setattr(suites, "benchmark_terms", priced)
     monkeypatch.setattr(suites, "core_concentration_check", refuted)
     failed = dict(suites.check_multi(inst).failed)
 
