@@ -376,15 +376,8 @@ def core_concentration_check(
     buyer, for the deltas core_deltas gives."""
     out = []
     for i in range(instance.n):
-        mean = sum(
-            (
-                f * v
-                for f, v in zip(
-                    instance.buyer_type_probs(i), _truncated_surplus(instance, i, beta, ct)
-                )
-            ),
-            ZERO,
-        )
+        truncated = _truncated_surplus(instance, i, beta, ct)
+        mean = sum((f * v for f, v in zip(instance.buyer_type_probs(i), truncated)), ZERO)
         bound = 4 * deltas[i] + Q(5, 2) * ct.tau[i]
         out.append(
             {

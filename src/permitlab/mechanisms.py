@@ -721,19 +721,19 @@ def aux_grand_bundle(instance: Instance, delta) -> AuxMechanism:
 def check_aux_truthful(aux: AuxMechanism):
     """Exhaustive one-buyer truthfulness and IR of the auxiliary mechanism
     under the surplus valuation."""
-    types = surplus_table(aux.instance, 0)
+    vb = surplus_table(aux.instance, 0)
 
     def util(ti_idx, rep_idx):
         u = -aux.payment.get(rep_idx, ZERO)
         for mask, pr in aux.alloc.get(rep_idx, ((0, ONE),)):
-            u += pr * types[ti_idx][mask]
+            u += pr * vb[ti_idx][mask]
         return u
 
-    for ti_idx in range(len(types)):
+    for ti_idx in range(len(vb)):
         truth = util(ti_idx, ti_idx)
         if truth < 0:
             raise ConstructionError(f"auxiliary mechanism violates IR at type {ti_idx}")
-        for rep in range(len(types)):
+        for rep in range(len(vb)):
             if rep != ti_idx and util(ti_idx, rep) > truth:
                 raise ConstructionError(
                     f"auxiliary mechanism not truthful: {ti_idx} gains reporting {rep}"
