@@ -7,8 +7,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lp import DirectMechanism, _check_flow_conservation
-from .model import Instance, Thresholds, effective_price, surplus_table, vbar_single_table
-from .myerson import virtual_values
+from .model import (
+    DiscreteDist,
+    Instance,
+    Thresholds,
+    _favorite_item,
+    _favorites,
+    effective_price,
+    surplus_table,
+)
+from .myerson import virtual_value_tables
 from .rational import Q, ZERO, HALF
 
 
@@ -112,38 +120,38 @@ class FlowSpec:
     edges: dict  # (i, from_ti_idx, to_ti_idx or None) -> Q
 
 
-def surplus_tables(instance: Instance, beta):
-    """tables[i][j]: support value -> single-permit surplus under beta."""
-    return [
-        [vbar_single_table(instance, i, j, beta) for j in range(instance.m)]
-        for i in range(instance.n)
-    ]
+def surplus_tables(instance: Instance, beta) -> tuple:
+    """dists[i][j]: the distribution of buyer i's single-permit surplus
+    vbar(t, {j}; beta), summed from the surplus table's singleton column over
+    the buyer's types and kept in the instance's cache beside the table."""
+    key = ("vbar_singles", beta)
+    dists = instance._cache.get(key)
+    if dists is None:
+        dists = instance._cache[key] = tuple(
+            tuple(_singleton_dist(instance, i, beta, j) for j in range(instance.m))
+            for i in range(instance.n)
+        )
+    return dists
 
 
-def willingness(instance: Instance, tables, i: int, j: int, a) -> Q:
-    """Pr[surplus_ij >= a] under the single-permit surplus tables."""
-    d = instance.dists[i][j]
-    return sum(
-        (p for t, p in zip(d.support, d.probs) if tables[i][j][t] >= a), ZERO
-    )
+def _singleton_dist(instance: Instance, i: int, beta, j: int) -> DiscreteDist:
+    mass = {}
+    for row, f in zip(surplus_table(instance, i, beta), instance.buyer_type_probs(i)):
+        mass[row[1 << j]] = mass.get(row[1 << j], ZERO) + f
+    support = sorted(mass)
+    return DiscreteDist(tuple(support), tuple(mass[v] for v in support))
 
 
 def build_flow(instance: Instance, beta: Thresholds) -> FlowSpec:
-    tables = surplus_tables(instance, beta)
     labels = {}
     phi = {}
     edges = {}
     for i in range(instance.n):
         types = instance.buyer_types(i)
         index_of = {t: k for k, t in enumerate(types)}
-        vvt = [virtual_values(instance.dists[i][j]) for j in range(instance.m)]
-        for ti_idx, t_i in enumerate(types):
-            best_j, best_v = 0, tables[i][0][t_i[0]]
-            for j in range(1, instance.m):
-                v = tables[i][j][t_i[j]]
-                if v > best_v:
-                    best_j, best_v = j, v
-            labels[(i, ti_idx)] = best_j
+        vvt = virtual_value_tables(instance, i)
+        for ti_idx, (t_i, row) in enumerate(zip(types, surplus_table(instance, i, beta))):
+            best_j = labels[(i, ti_idx)] = _favorite_item(row, instance.m)
             phi[(i, ti_idx)] = tuple(
                 vvt[j].ironed_at(t_i[j]) if j == best_j else t_i[j]
                 for j in range(instance.m)
@@ -201,69 +209,35 @@ def core_tail(instance: Instance, beta: Thresholds) -> CoreTail:
     """Thresholds tau_i (the infimum in the decomposition, evaluated on the
     surplus grid as the smallest value whose strict tail sum is at most 1/2),
     the tail and core sums, and the truncation sets C_i."""
-    tables = surplus_tables(instance, beta)
+    dists = surplus_tables(instance, beta)
     taus = []
-    for i in range(instance.n):
-        grid = sorted({ZERO} | {v for j in range(instance.m) for v in tables[i][j].values()})
-        tau = None
-        for a in grid:
-            total = ZERO
-            for j in range(instance.m):
-                d = instance.dists[i][j]
-                total += sum(
-                    (
-                        p
-                        for t, p in zip(d.support, d.probs)
-                        if tables[i][j][t] > a
-                    ),
-                    ZERO,
-                )
-            if total <= HALF:
-                tau = a
-                break
-        assert tau is not None  # the top grid value always qualifies
-        taus.append(tau)
+    for row in dists:
+        grid = sorted({ZERO}.union(*(d.support for d in row)))
+        # the top grid value always qualifies
+        taus.append(next(a for a in grid if sum((d.pr_gt(a) for d in row), ZERO) <= HALF))
 
     tail = ZERO
-    for i in range(instance.n):
-        for j in range(instance.m):
-            d = instance.dists[i][j]
-            for t, p in zip(d.support, d.probs):
-                x = tables[i][j][t]
+    for i, row in enumerate(dists):
+        for j, d in enumerate(row):
+            for x, p in zip(d.support, d.probs):
                 if x <= taus[i]:
                     continue
                 pr_other = Q(1)
-                for k in range(instance.m):
-                    if k == j:
-                        continue
-                    dk = instance.dists[i][k]
-                    pr_other *= sum(
-                        (
-                            pk
-                            for tk, pk in zip(dk.support, dk.probs)
-                            if tables[i][k][tk] < x
-                        ),
-                        ZERO,
-                    )
+                for k, dk in enumerate(row):
+                    if k != j:
+                        pr_other *= 1 - dk.pr_geq(x)
                 tail += p * x * (1 - pr_other)
 
     core = ZERO
     less = ZERO
     fav = {}
+    full = instance.full_mask()
     for i in range(instance.n):
-        vb = surplus_table(instance, i, beta)
-        for ti_idx, t_i in enumerate(instance.buyer_types(i)):
-            f = instance.type_prob(i, t_i)
-            mask = 0
-            best_j, best_v = 0, tables[i][0][t_i[0]]
-            for j in range(instance.m):
-                if tables[i][j][t_i[j]] <= taus[i]:
-                    mask |= 1 << j
-                if j > 0 and tables[i][j][t_i[j]] > best_v:
-                    best_j, best_v = j, tables[i][j][t_i[j]]
-            fav[(i, ti_idx)] = mask
-            core += f * vb[ti_idx][mask]
-            less += f * vb[ti_idx][instance.full_mask() & ~(1 << best_j)]
+        table = surplus_table(instance, i, beta)
+        for ti_idx, (row, f) in enumerate(zip(table, instance.buyer_type_probs(i))):
+            mask = fav[(i, ti_idx)] = _favorites(row, instance.m, taus[i])
+            core += f * row[mask]
+            less += f * row[full & ~(1 << _favorite_item(row, instance.m))]
     ct = CoreTail(tuple(taus), tail, core, less, fav)
     if less > tail + core:
         raise AssertionError("less-surplus exceeds tail + core")
@@ -277,22 +251,29 @@ class TailPrices:
     r_total: Q
 
 
+def _tail_argmax(dist: DiscreteDist, candidates):
+    """The first candidate price a maximizing a * Pr[surplus >= a] under dist,
+    and that revenue; (None, 0) when no candidate earns a positive revenue."""
+    best_a, best_r = None, ZERO
+    for a in candidates:
+        rev = a * dist.pr_geq(a)
+        if rev > best_r:
+            best_a, best_r = a, rev
+    return best_a, best_r
+
+
+def _willing_total(dists, prices) -> Q:
+    """sum_j Pr[surplus_ij >= price_j] over the items that have a price."""
+    return sum((d.pr_geq(a) for d, a in zip(dists, prices) if a is not None), ZERO)
+
+
 def tail_prices(instance: Instance, beta: Thresholds, ct: CoreTail) -> TailPrices:
     """xi_ij = argmax over grid values >= tau_i of a * Pr[surplus >= a] (smallest
     argmax); asserts the tail is at most half the total of the maxima."""
-    tables = surplus_tables(instance, beta)
     xi, r = {}, {}
-    for i in range(instance.n):
-        for j in range(instance.m):
-            best_a, best_r = None, ZERO
-            for a in sorted(set(tables[i][j].values())):
-                if a < ct.tau[i] or a == 0:
-                    continue
-                rev = a * willingness(instance, tables, i, j, a)
-                if rev > best_r:
-                    best_a, best_r = a, rev
-            xi[(i, j)] = best_a
-            r[(i, j)] = best_r
+    for i, row in enumerate(surplus_tables(instance, beta)):
+        for j, d in enumerate(row):
+            xi[(i, j)], r[(i, j)] = _tail_argmax(d, (a for a in d.support if a >= ct.tau[i]))
     total = sum(r.values(), ZERO)
     if ct.tail > HALF * total:
         raise AssertionError("tail exceeds half the single-permit revenue total")
@@ -307,37 +288,16 @@ def rspp_tail_thresholds(instance: Instance, beta: Thresholds, ct: CoreTail):
     condition, and otherwise moves to candidates strictly above tau (always
     valid because tau's strict tail sum is at most 1/2).
     """
-    tables = surplus_tables(instance, beta)
     base = tail_prices(instance, beta, ct)
-
-    def total(i, cand):
-        return sum(
-            (
-                willingness(instance, tables, i, j, a)
-                for j, a in cand.items()
-                if a is not None
-            ),
-            ZERO,
-        )
-
     xi = {}
-    for i in range(instance.n):
-        cand = {j: base.xi[(i, j)] for j in range(instance.m)}
-        if total(i, cand) > HALF:
-            cand = {}
-            for j in range(instance.m):
-                best_a, best_r = None, ZERO
-                for a in sorted(set(tables[i][j].values())):
-                    if a <= ct.tau[i]:
-                        continue
-                    rev = a * willingness(instance, tables, i, j, a)
-                    if rev > best_r:
-                        best_a, best_r = a, rev
-                cand[j] = best_a
-            if total(i, cand) > HALF:
+    for i, row in enumerate(surplus_tables(instance, beta)):
+        cand = [base.xi[(i, j)] for j in range(instance.m)]
+        if _willing_total(row, cand) > HALF:
+            cand = [_tail_argmax(d, (a for a in d.support if a > ct.tau[i]))[0] for d in row]
+            if _willing_total(row, cand) > HALF:
                 raise AssertionError("strict-tail thresholds violate the sum bound")
-        for j in range(instance.m):
-            xi[(i, j)] = cand[j]
+        for j, a in enumerate(cand):
+            xi[(i, j)] = a
     return xi
 
 
@@ -429,9 +389,7 @@ def benchmark_terms(
     pi = mechanism.interim()
 
     most = ZERO
-    less = ZERO
     for i in range(instance.n):
-        vb = surplus_table(instance, i, beta)
         fp = instance.buyer_type_probs(i)
         for ti_idx in range(len(fp)):
             j = flow.labels[(i, ti_idx)]
@@ -440,7 +398,6 @@ def benchmark_terms(
                 x = pi[i][ti_idx][c_idx][j]
                 if x:
                     most += fp[ti_idx] * pc * x * (phi_j - cvec[j])
-            less += fp[ti_idx] * vb[ti_idx][instance.full_mask() & ~(1 << j)]
 
     prophet = ZERO
     for (i, j, c_idx), qv in exa.q.items():
@@ -451,12 +408,10 @@ def benchmark_terms(
 
     ct = core_tail(instance, beta)
     deltas = core_deltas(instance, beta, ct)
-    report = BenchmarkReport(most, prophet, less, ct, deltas)
+    report = BenchmarkReport(most, prophet, ct.less_surplus, ct, deltas)
     profit = mechanism.profit()
     if profit > report.total:
         raise AssertionError(
             f"benchmark violated: profit {profit} > {report.total}"
         )
-    if less != ct.less_surplus:
-        raise AssertionError("less-surplus mismatch between benchmark and core-tail")
     return report

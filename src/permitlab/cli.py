@@ -111,20 +111,21 @@ def cmd_eval(args) -> int:
             f"estimated profit: {res.estimate:.6f} +- {res.half_width:.6f} "
             f"({res.samples} samples, 99% confidence)"
         )
-        return 0
-    res = evaluate(inst, spec)
-    print(f"exact profit: {rat_str(res.profit)}")
-    print(
-        " revenue per buyer:",
-        " ".join(rat_str(v) for v in res.revenue),
-    )
-    print(" cost per buyer:", " ".join(rat_str(v) for v in res.cost))
-    if args.json:
+        blob = {"estimate": res.estimate, "half_width": res.half_width, "samples": res.samples}
+    else:
+        res = evaluate(inst, spec)
+        print(f"exact profit: {rat_str(res.profit)}")
+        print(
+            " revenue per buyer:",
+            " ".join(rat_str(v) for v in res.revenue),
+        )
+        print(" cost per buyer:", " ".join(rat_str(v) for v in res.cost))
         blob = {
             "profit": rat_str(res.profit),
             "revenue": [rat_str(v) for v in res.revenue],
             "cost": [rat_str(v) for v in res.cost],
         }
+    if args.json:
         with open(args.json, "w") as fh:
             json.dump(blob, fh, indent=1)
     return 0

@@ -29,8 +29,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, product
 
-from .benchmark import ExAnte, surplus_tables, willingness
+from .benchmark import ExAnte, _willing_total, surplus_tables
 from .model import Instance, effective_price, iter_subsets, popcount, surplus_table
+from .myerson import virtual_value_tables
 from .rational import Q, ZERO, ONE, HALF
 
 KINDS = ("IP", "PP", "PB", "CSIP", "RSPP", "SPB")
@@ -517,7 +518,6 @@ def construct_csip_from_copies(instance: Instance):
     sub-constraint when there are several buyers.
     """
     from .model import AuctionFeasibility, UnitDemandPairs
-    from .myerson import virtual_values
 
     n, m = instance.n, instance.m
     order = tuple(range(n))
@@ -534,9 +534,7 @@ def construct_csip_from_copies(instance: Instance):
     if n > 1:
         ud = UnitDemandPairs(AuctionFeasibility(instance))
         sub = {c: ud for c in range(len(instance.costs))}
-    tables = [
-        [virtual_values(instance.dists[i][j]) for j in range(m)] for i in range(n)
-    ]
+    tables = [virtual_value_tables(instance, i) for i in range(n)]
     for c_idx in range(len(instance.costs)):
         sub_fam = sub[c_idx] if sub else None
         best_vec, best_profit = None, None
@@ -609,12 +607,8 @@ def construct_rspp_tail(instance: Instance, exa: ExAnte, xi: dict) -> MechanismS
     """Permit price half of xi_ij with cost-thresholded item prices; hides items
     down to availability exactly one half. Requires the willingness sums
     sum_j Pr[surplus_ij >= xi_ij] <= 1/2 per buyer."""
-    tables = surplus_tables(instance, exa.beta)
-    for i in range(instance.n):
-        tot = ZERO
-        for j in range(instance.m):
-            if xi.get((i, j)) is not None:
-                tot += willingness(instance, tables, i, j, xi[(i, j)])
+    for i, row in enumerate(surplus_tables(instance, exa.beta)):
+        tot = _willing_total(row, [xi.get((i, j)) for j in range(instance.m)])
         if tot > HALF:
             raise ConstructionError(
                 f"buyer {i} willingness sum {tot} exceeds 1/2 for the tail prices"
@@ -854,11 +848,11 @@ def search_best(instance: Instance, kind: str, guard: int = 1_000_000):
 
     if kind == "PP" and additive:
         permit = {}
-        tables = surplus_tables(instance, None)
+        dists = surplus_tables(instance, None)[0]
         for j in range(m):
             best_l, best_r = ZERO, ZERO
             for l in grid[j]:
-                r = l * willingness(instance, tables, 0, j, l)
+                r = l * dists[j].pr_geq(l)
                 if r > best_r:
                     best_l, best_r = l, r
             permit[(0, j)] = best_l

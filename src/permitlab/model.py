@@ -573,30 +573,6 @@ def vbar(instance: Instance, i: int, t_i, permit_set: int, beta=None) -> Q:
     return _vbar_row(instance, i, t_i, beta)[permit_set & instance.full_mask()]
 
 
-def vbar_single(instance: Instance, i: int, j: int, t_ij, beta=None) -> Q:
-    """Single-permit surplus E[(t_ij - max(beta, c_j))^+].
-
-    Agrees with vbar on the singleton {j}; in particular it is 0 when {j} is
-    not feasible for buyer i.
-    """
-    if not instance.families[i].contains(1 << j):
-        return ZERO
-    total = ZERO
-    for c_idx, (_, pc) in enumerate(instance.costs.atoms):
-        surplus = t_ij - effective_price(instance, beta, i, j, c_idx)
-        if surplus > 0:
-            total += pc * surplus
-    return total
-
-
-def vbar_single_table(instance: Instance, i: int, j: int, beta=None) -> dict:
-    """vbar_single over the whole support of D_ij."""
-    return {
-        t: vbar_single(instance, i, j, t, beta)
-        for t in instance.dists[i][j].support
-    }
-
-
 def favorite_set(instance: Instance, i: int, t_i, tau_i, beta=None) -> int:
     """C_i(t_i): items whose single-permit surplus vbar(t_i, {j}) is at most tau_i."""
     return _favorites(_vbar_row(instance, i, t_i, beta), instance.m, tau_i)
@@ -604,6 +580,12 @@ def favorite_set(instance: Instance, i: int, t_i, tau_i, beta=None) -> int:
 
 def _favorites(row, m: int, tau_i) -> int:
     return sum(1 << j for j in range(m) if row[1 << j] <= tau_i)
+
+
+def _favorite_item(row, m: int) -> int:
+    """The item j with the largest single-permit surplus row[{j}], the
+    smallest such j on ties."""
+    return max(range(m), key=lambda j: row[1 << j])
 
 
 def mu(instance: Instance, i: int, t_i, item_set: int, beta, tau_i) -> Q:

@@ -97,7 +97,9 @@ def ironed_surplus(table: VirtualValueTable, reserve) -> Q:
     )
 
 
-def _tables(instance: Instance, i: int):
+def virtual_value_tables(instance: Instance, i: int) -> tuple:
+    """Buyer i's VirtualValueTable per item, built once per instance and kept
+    in its cache."""
     key = ("vvt", i)
     if key not in instance._cache:
         instance._cache[key] = tuple(
@@ -114,7 +116,7 @@ def copies_opt_ud(instance: Instance, c_idx: int) -> Q:
     if instance.n != 1:
         raise ValueError("copies_opt_ud is a single-buyer quantity")
     cost = instance.costs.vector(c_idx)
-    tables = _tables(instance, 0)
+    tables = virtual_value_tables(instance, 0)
     per_item = []
     for j in range(instance.m):
         d = {}
@@ -147,7 +149,7 @@ def copies_opt_additive(instance: Instance, c_idx: int) -> Q:
     if instance.n != 1:
         raise ValueError("copies_opt_additive is a single-buyer quantity")
     cost = instance.costs.vector(c_idx)
-    tables = _tables(instance, 0)
+    tables = virtual_value_tables(instance, 0)
     fam = instance.families[0]
     if fam.kind == "uniform" and fam.rank == instance.m:
         # additive: linearity of expectation, one item at a time
@@ -178,7 +180,7 @@ def copies_opt_ud_multi(instance: Instance, c_idx: int, guard: int = 12) -> Q:
     if instance.n == 1:
         return copies_opt_ud(instance, c_idx)
     cost = instance.costs.vector(c_idx)
-    tables = [_tables(instance, i) for i in range(instance.n)]
+    tables = [virtual_value_tables(instance, i) for i in range(instance.n)]
     pairs = UnitDemandPairs(AuctionFeasibility(instance)).members()
     out = ZERO
     for combo, pp in instance.profiles():

@@ -24,7 +24,6 @@ from .benchmark import (
     rspp_tail_thresholds,
     surplus_tables,
     tail_prices,  # unused here, but perfbench/tracing.py wraps suites.tail_prices
-    willingness,
 )
 from .generator import random_instance
 from .lp import solve_profit_lp, verify_virtual_bound
@@ -51,7 +50,7 @@ from .model import (
     supporting_prices,
     surplus_table,
 )
-from .myerson import copies_opt_additive, copies_opt_ud, copies_opt_ud_multi, virtual_values
+from .myerson import copies_opt_additive, copies_opt_ud, copies_opt_ud_multi, virtual_value_tables
 from .ocrs import (
     auction_ocrs,
     greedy_replay_probabilities,
@@ -108,7 +107,7 @@ class InstanceReport:
 def _expected_surplus_over_costs(instance: Instance) -> Q:
     """E over (t, c) of (ironed virtual value - cost)^+, single item."""
     d = instance.dists[0][0]
-    table = virtual_values(d)
+    table = virtual_value_tables(instance, 0)[0]
     out = ZERO
     for c_idx, (cvec, pc) in enumerate(instance.costs.atoms):
         for v, p in zip(table.ironed, d.probs):
@@ -321,26 +320,41 @@ def check_properties(instance: Instance, beta_seed: int = 0) -> InstanceReport:
                 tuple(mu(instance, i, t_i, s, ths, ct.tau[i]) for s in range(full + 1))
                 for t_i in types
             ]
-            ok_mono = ok_sub = ok_ext = ok_mu = ok_lip = True
-            for vb, mb in zip(table, mu_table):
+            # each check's detail names its first violation; empty means it holds
+            mono = sub = ext = mu_sub = lip = ""
+            for k, (vb, mb) in enumerate(zip(table, mu_table)):
                 for u_set in range(full + 1):
                     for v_set in range(full + 1):
-                        if u_set | v_set == v_set and not (
+                        union = u_set | v_set
+                        if not mono and union == v_set and not (
                             vb[u_set] <= vb[v_set] and mb[u_set] <= mb[v_set]
                         ):
-                            ok_mono = False
-                        if not vb[u_set | v_set] <= vb[u_set] + vb[v_set]:
-                            ok_sub = False
-                        if not mb[u_set | v_set] <= mb[u_set] + mb[v_set]:
-                            ok_mu = False
+                            mono = (
+                                f"type {k}, set {u_set:#b} inside {v_set:#b}: vbar {vb[u_set]} "
+                                f"vs {vb[v_set]}, mu {mb[u_set]} vs {mb[v_set]}"
+                            )
+                        if not sub and not vb[union] <= vb[u_set] + vb[v_set]:
+                            sub = (
+                                f"type {k}, sets {u_set:#b} and {v_set:#b}: vbar "
+                                f"{vb[union]} > {vb[u_set]} + {vb[v_set]}"
+                            )
+                        if not mu_sub and not mb[union] <= mb[u_set] + mb[v_set]:
+                            mu_sub = (
+                                f"type {k}, sets {u_set:#b} and {v_set:#b}: mu "
+                                f"{mb[union]} > {mb[u_set]} + {mb[v_set]}"
+                            )
             for a, t_a in enumerate(types):
                 for b, t_b in enumerate(types):
                     for s in range(full + 1):
-                        if all(
+                        if not ext and all(
                             t_a[j] == t_b[j] for j in range(instance.m) if (s >> j) & 1
                         ):
                             if table[a][s] != table[b][s] or mu_table[a][s] != mu_table[b][s]:
-                                ok_ext = False
+                                ext = (
+                                    f"types {a} and {b} agree on set {s:#b}: vbar "
+                                    f"{table[a][s]} vs {table[b][s]}, mu {mu_table[a][s]} "
+                                    f"vs {mu_table[b][s]}"
+                                )
                     for x_set in range(full + 1):
                         for y_set in range(full + 1):
                             delta = popcount(x_set ^ y_set) + sum(
@@ -351,21 +365,22 @@ def check_properties(instance: Instance, beta_seed: int = 0) -> InstanceReport:
                             gap = mu_table[a][x_set] - mu_table[b][y_set]
                             if gap < 0:
                                 gap = -gap
-                            if gap > ct.tau[i] * delta:
-                                ok_lip = False
-            rep.require(f"monotone_{tag}_b{i}", ok_mono)
-            rep.require(f"subadditive_{tag}_b{i}", ok_sub)
-            rep.require(f"no_externalities_{tag}_b{i}", ok_ext)
-            rep.require(f"mu_subadditive_{tag}_b{i}", ok_mu)
-            rep.require(f"mu_lipschitz_{tag}_b{i}", ok_lip)
-            rep.require(
-                f"xos_certificate_{tag}_b{i}",
-                _xos_certificate_ok(instance, i, ths),
-            )
-            rep.require(
-                f"vbar_stage2_consistency_{tag}_b{i}",
-                _vbar_stage2_consistent(instance, i, ths),
-            )
+                            if not lip and gap > ct.tau[i] * delta:
+                                lip = (
+                                    f"types {a} and {b}, sets {x_set:#b} and {y_set:#b}: "
+                                    f"mu gap {gap} > tau {ct.tau[i]} * {delta}"
+                                )
+            details = {
+                "monotone": mono,
+                "subadditive": sub,
+                "no_externalities": ext,
+                "mu_subadditive": mu_sub,
+                "mu_lipschitz": lip,
+                "xos_certificate": _xos_certificate_violation(instance, i, ths),
+                "vbar_stage2_consistency": _vbar_stage2_mismatch(instance, i, ths),
+            }
+            for name, detail in details.items():
+                rep.require(f"{name}_{tag}_b{i}", not detail, detail)
     return rep
 
 
@@ -384,9 +399,11 @@ def _random_beta(instance: Instance, rng) -> Thresholds:
     return Thresholds(tuple(vals))
 
 
-def _xos_certificate_ok(instance: Instance, i: int, ths: Thresholds) -> bool:
+def _xos_certificate_violation(instance: Instance, i: int, ths: Thresholds) -> str:
+    """The first (type, atom, set) whose supporting prices fail to certify the
+    stage-2 surplus as XOS; empty when none does."""
     full = instance.full_mask()
-    for t_i in instance.buyer_types(i):
+    for k, t_i in enumerate(instance.buyer_types(i)):
         for c_idx in range(len(instance.costs)):
             prices = tuple(
                 effective_price(instance, ths, i, j, c_idx)
@@ -396,22 +413,32 @@ def _xos_certificate_ok(instance: Instance, i: int, ths: Thresholds) -> bool:
                 val, _ = stage2_utility(instance, i, t_i, prices, p_set)
                 sup = supporting_prices(instance, i, t_i, prices, p_set)
                 if sum(sup, ZERO) != val:
-                    return False
+                    return (
+                        f"type {k}, atom {c_idx}, set {p_set:#b}: supporting prices "
+                        f"sum to {sum(sup, ZERO)} != surplus {val}"
+                    )
                 for s_sub in range(full + 1):
                     if s_sub | p_set != p_set:
                         continue
                     inner, _ = stage2_utility(instance, i, t_i, prices, s_sub)
-                    if inner < sum(
+                    covered = sum(
                         (sup[j] for j in range(instance.m) if (s_sub >> j) & 1),
                         ZERO,
-                    ):
-                        return False
-    return True
+                    )
+                    if inner < covered:
+                        return (
+                            f"type {k}, atom {c_idx}, set {s_sub:#b} inside {p_set:#b}: "
+                            f"surplus {inner} < supporting prices {covered}"
+                        )
+    return ""
 
 
-def _vbar_stage2_consistent(instance: Instance, i: int, ths: Thresholds) -> bool:
+def _vbar_stage2_mismatch(instance: Instance, i: int, ths: Thresholds) -> str:
+    """The first (type, set) whose surplus-table entry differs from the
+    expected stage-2 surplus over cost atoms; empty when none does."""
     full = instance.full_mask()
-    for t_i, row in zip(instance.buyer_types(i), surplus_table(instance, i, ths)):
+    table = surplus_table(instance, i, ths)
+    for k, (t_i, row) in enumerate(zip(instance.buyer_types(i), table)):
         for p_set in range(full + 1):
             direct = row[p_set]
             total = ZERO
@@ -423,8 +450,8 @@ def _vbar_stage2_consistent(instance: Instance, i: int, ths: Thresholds) -> bool
                 val, _ = stage2_utility(instance, i, t_i, prices, p_set)
                 total += pc * val
             if direct != total:
-                return False
-    return True
+                return f"type {k}, set {p_set:#b}: table {direct} != stage-2 sum {total}"
+    return ""
 
 
 def check_multi(instance: Instance) -> InstanceReport:
@@ -513,11 +540,11 @@ def check_multi(instance: Instance) -> InstanceReport:
 
     # (c) tail chain
     xi = rspp_tail_thresholds(instance, exa.beta, ct)
-    tables = surplus_tables(instance, exa.beta)
+    dists = surplus_tables(instance, exa.beta)
 
     def willing(i, j):
         a = xi[(i, j)]
-        return ZERO if a is None else willingness(instance, tables, i, j, a)
+        return ZERO if a is None else dists[i][j].pr_geq(a)
 
     tail_spec = construct_rspp_tail(instance, exa, xi)
     tail_res = evaluate(instance, tail_spec)

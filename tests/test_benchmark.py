@@ -98,6 +98,15 @@ def test_tail_prices_example(two_iid_items):
     # the at-tau argmaxes put total willingness 1 > 1/2, so the construction
     # thresholds move strictly above tau, where nothing remains
     assert xi[(0, 0)] is None and xi[(0, 1)] is None
+    # surplus 1 or 2: both prices earn 1, and the tie goes to the smaller;
+    # its willingness 1 > 1/2 moves the construction strictly above tau = 1
+    d = DiscreteDist((1, 2), (Q(1, 2), Q(1, 2)))
+    one = Instance(1, 1, ((d,),), CostModel((((0,), 1),)), (UniformMatroid(1, 1),))
+    zero = Thresholds.zero(one)
+    ct = core_tail(one, zero)
+    assert ct.tau == (1,)
+    assert tail_prices(one, zero, ct).xi == {(0, 0): 1}
+    assert rspp_tail_thresholds(one, zero, ct) == {(0, 0): 2}
 
 
 def test_lower_median():

@@ -21,9 +21,9 @@ from permitlab.model import (
     surplus_table,
     value,
     vbar,
-    vbar_single,
     verify_matroid,
 )
+from permitlab.benchmark import surplus_tables
 from permitlab.rational import Q, ZERO
 
 
@@ -85,20 +85,12 @@ def test_vbar_examples(canonical):
 
 
 def test_vbar_single_examples(canonical):
-    assert vbar_single(canonical, 0, 0, Q(2)) == Q(3, 2)
-    assert vbar_single(canonical, 0, 0, Q(1)) == Q(1, 2)
+    assert vbar(canonical, 0, (Q(2),), 0b1) == Q(3, 2)
+    assert vbar(canonical, 0, (Q(1),), 0b1) == Q(1, 2)
     low = make_single(
         (DiscreteDist((1,), (1,)),), (((5,), 1),), UniformMatroid(1, 1)
     )
-    assert vbar_single(low, 0, 0, Q(1)) == 0  # value below every cost
-
-
-def test_vbar_single_matches_vbar_on_singletons(two_iid_items):
-    for t in two_iid_items.buyer_types(0):
-        for j in range(2):
-            assert vbar_single(two_iid_items, 0, j, t[j]) == vbar(
-                two_iid_items, 0, t, 1 << j
-            )
+    assert vbar(low, 0, (Q(1),), 0b1) == 0  # value below every cost
 
 
 def test_stage2_utility_examples():
@@ -312,13 +304,67 @@ def test_vbar_of_a_vector_outside_the_support():
 
 
 def test_surplus_table_is_freed_with_its_instance():
-    # the table lives in the instance's own cache: once the instance goes, the
-    # thresholds keying its table go too, so no other cache holds the table
+    # the table and its single-permit distributions live in the instance's own
+    # cache: once the instance goes, the thresholds keying both go too, so no
+    # other cache holds either
     d = DiscreteDist((1, 2), (Q(1, 2), Q(1, 2)))
     inst = make_single((d, d), (((0, 1), 1),), UniformMatroid(2, 1))
     beta = Thresholds(((((Q(1),), (Q(0),))),))
     assert surplus_table(inst, 0, beta)[-1][0b11] == 1
+    assert surplus_tables(inst, beta)[0][1] == DiscreteDist((0, 1), (Q(1, 2), Q(1, 2)))
+    assert surplus_tables(inst, beta) is surplus_tables(inst, beta)
     refs = weakref.ref(inst), weakref.ref(beta)
     del inst, beta
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+def _singleton_reference(inst, i, j, beta):
+    """The distribution of vbar(t, {j}; beta) as a value -> probability dict,
+    per support value of D_ij: sum over cost atoms of p_c * (t - max(beta, c_j))^+,
+    or 0 when {j} is not a member of buyer i's family."""
+    out = {}
+    d = inst.dists[i][j]
+    for t, p in zip(d.support, d.probs):
+        v = ZERO
+        if inst.families[i].contains(1 << j):
+            for c_idx, (cvec, pc) in enumerate(inst.costs.atoms):
+                price = max(cvec[j], ZERO if beta is None else beta.values[i][j][c_idx])
+                v += pc * max(t - price, ZERO)
+        out[v] = out.get(v, ZERO) + p
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_cases())
+def test_surplus_tables_match_the_single_permit_formula(case):
+    inst, beta = case
+    dists = surplus_tables(inst, beta)
+    assert len(dists) == inst.n and all(len(row) == inst.m for row in dists)
+    for i in range(inst.n):
+        for j in range(inst.m):
+            got = dists[i][j]
+            assert dict(zip(got.support, got.probs)) == _singleton_reference(inst, i, j, beta)
+
+
+def test_surplus_tables_on_families_without_a_singleton():
+    # {1} is not a member in the first family and only {0} is in the second,
+    # so the missing singletons have surplus 0 at every type and threshold
+    d = DiscreteDist((1, 3), (Q(1, 2), Q(1, 2)))
+    costs = CostModel((((0, 1, 2), Q(1, 3)), ((1, 0, 0), Q(2, 3))))
+    fams = (ExplicitFamily(3, (0b101, 0b001, 0b100)), ExplicitFamily(3, (0b001,)))
+    inst = Instance(2, 3, ((d, d, d), (d, d, d)), costs, fams)
+    beta = Thresholds(
+        tuple(
+            tuple((Q(k), Q(2 - k)) for k in range(3))
+            for _ in range(2)
+        )
+    )
+    for b in (None, beta, Thresholds.zero(inst)):
+        dists = surplus_tables(inst, b)
+        for i, j in ((0, 1), (1, 1), (1, 2)):
+            assert dists[i][j] == DiscreteDist((0,), (1,))
+        for i in range(2):
+            for j in range(3):
+                got = dists[i][j]
+                assert dict(zip(got.support, got.probs)) == _singleton_reference(inst, i, j, b)

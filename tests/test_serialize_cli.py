@@ -86,10 +86,15 @@ def test_cli_verify_and_eval(tmp_path, capsys):
                 spec_path,
                 "--mc",
                 "2000",
+                "--json",
+                str(tmp_path / "mc.json"),
             ]
         )
         == 0
     )
+    mc = json.loads((tmp_path / "mc.json").read_text())
+    assert sorted(mc) == ["estimate", "half_width", "samples"]
+    assert mc["samples"] == 2000 and mc["half_width"] > 0
     capsys.readouterr()
 
 

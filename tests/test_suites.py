@@ -303,3 +303,47 @@ def test_search_within_oracle_pp_can_fail(monkeypatch):
     )
     failed = dict(suites.check_single_buyer(inst, constrained=True).failed)
     assert failed["families_below_opt"] == f"max({opt + 1}, {opt + 1}, {opt + 1}) > {opt}"
+
+
+def test_check_properties_failure_details(monkeypatch):
+    # corrupt the surplus table, the truncated valuation and the supporting
+    # prices that check_properties reads, and read what each failure names
+    from permitlab import suites
+    from permitlab.model import CostModel, DiscreteDist, Instance, UniformMatroid
+
+    d = DiscreteDist((1, 3), (Q(1, 2), Q(1, 2)))
+    inst = Instance(1, 2, ((d, d),), CostModel((((0, 0), 1),)), (UniformMatroid(2, 2),))
+    assert not suites.check_properties(inst).failed
+    real_table, real_mu, real_sup = suites.surplus_table, suites.mu, suites.supporting_prices
+    low = inst.buyer_types(0)[0]  # (1, 1); type 1 is (1, 3)
+
+    def bumped_table(instance, i, beta=None):
+        rows = [list(row) for row in real_table(instance, i, beta)]
+        rows[0][0b01] += 100  # above the full set of type 0, and unlike type 1's
+        rows[1][0b11] += 100  # above the sum of type 1's singletons
+        return tuple(tuple(row) for row in rows)
+
+    def bumped_mu(instance, i, t_i, item_set, beta, tau_i):
+        out = real_mu(instance, i, t_i, item_set, beta, tau_i)
+        return out + 10**6 if t_i == low and item_set == 0b11 else out
+
+    def shifted(instance, i, t_i, prices, available):
+        sup = real_sup(instance, i, t_i, prices, available)
+        return (sup[0] + 1, sup[1] - 1)  # same sum, but {0} is over-covered
+
+    monkeypatch.setattr(suites, "surplus_table", bumped_table)
+    monkeypatch.setattr(suites, "mu", bumped_mu)
+    monkeypatch.setattr(suites, "supporting_prices", shifted)
+    failed = dict(suites.check_properties(inst).failed)
+    assert {name: failed[f"{name}_zero_b0"] for name in (
+        "monotone", "subadditive", "no_externalities", "mu_subadditive", "mu_lipschitz",
+        "xos_certificate", "vbar_stage2_consistency",
+    )} == {
+        "monotone": "type 0, set 0b1 inside 0b11: vbar 101 vs 2, mu 1 vs 1000002",
+        "subadditive": "type 1, sets 0b1 and 0b10: vbar 104 > 1 + 3",
+        "no_externalities": "types 0 and 1 agree on set 0b1: vbar 101 vs 1, mu 1 vs 1",
+        "mu_subadditive": "type 0, sets 0b1 and 0b10: mu 1000002 > 1 + 1",
+        "mu_lipschitz": "types 0 and 0, sets 0b0 and 0b11: mu gap 1000002 > tau 3 * 2",
+        "xos_certificate": "type 0, atom 0, set 0b1 inside 0b1: surplus 1 < supporting prices 2",
+        "vbar_stage2_consistency": "type 0, set 0b1: table 101 != stage-2 sum 1",
+    }
